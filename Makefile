@@ -43,10 +43,11 @@ BENCH_DATE := $(shell date +%F)
 # handle reuse + the batched alltoall endpoint pass), the symmetric
 # device model (sender-side handle reuse + the sharded halo exchanges
 # at 8 and 64 ranks), the reliable transport's steady-state message
-# rate, the session daemon's full client-session cycle
+# rate (over the in-memory pipe, and over loopback UDP where the
+# per-datagram syscalls show), the session daemon's full client-session cycle
 # (open/commit/post/flush/close over the in-memory pipe), and the lowered
 # execution-plan kernels (pack/unpack and gather resolve per plan kind).
-BENCH_CORE := BenchmarkSimulationRWCP1MiB|BenchmarkSimulationSpecialized1MiB|BenchmarkDDTPackUnpack|BenchmarkEventEngine|BenchmarkSimulationClusterSerial|BenchmarkSimulationSharded|BenchmarkSessionPostReuse|BenchmarkAlltoall8|BenchmarkSessionSendReuse|BenchmarkHaloExchange8|BenchmarkHaloExchange64|BenchmarkHaloExchange256|BenchmarkOffloadInstantiate|BenchmarkTransportThroughput|BenchmarkServerThroughput|BenchmarkPlanPack|BenchmarkPlanGather
+BENCH_CORE := BenchmarkSimulationRWCP1MiB|BenchmarkSimulationSpecialized1MiB|BenchmarkDDTPackUnpack|BenchmarkEventEngine|BenchmarkSimulationClusterSerial|BenchmarkSimulationSharded|BenchmarkSessionPostReuse|BenchmarkAlltoall8|BenchmarkSessionSendReuse|BenchmarkHaloExchange8|BenchmarkHaloExchange64|BenchmarkHaloExchange256|BenchmarkOffloadInstantiate|BenchmarkTransportThroughput|BenchmarkTransportUDP|BenchmarkServerThroughput|BenchmarkPlanPack|BenchmarkPlanGather
 # Allowed fractional ns/op regression vs BENCH_BASELINE.json.
 TOLERANCE ?= 0.25
 # Allowed fractional B/op and allocs/op regression vs BENCH_BASELINE.json.

@@ -2,6 +2,7 @@ package nic
 
 import (
 	"bytes"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -132,6 +133,11 @@ func TestExchangeSteadyStateAllocBound(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		run()
 	}
+	// A GC during the measurement empties the sync.Pools the exchange
+	// draws from, and refilling them would count as allocations (about
+	// one run in four exceeded the bound that way). The guard is about
+	// the warm steady state, so measure it with the collector off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n := testing.AllocsPerRun(30, run)
 	// The bound covers the per-run state that legitimately escapes (test
 	// fixtures, result slices, PacketInjections) with slack; 384 streamed

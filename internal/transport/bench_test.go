@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net"
 	"testing"
 	"time"
 )
@@ -11,6 +12,32 @@ import (
 // faults. Part of the BENCH_CORE perf gate.
 func BenchmarkTransportThroughput(b *testing.B) {
 	sender, receiver := pair(b, Config{}, nil)
+	benchSend(b, sender, receiver)
+}
+
+// BenchmarkTransportUDP is BenchmarkTransportThroughput over two kernel
+// UDP loopback sockets. The pipe makes no syscalls, so only this variant
+// sees the per-datagram send and receive cost that frame and ack counts
+// drive. Part of the BENCH_CORE perf gate.
+func BenchmarkTransportUDP(b *testing.B) {
+	a, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		b.Skipf("no UDP loopback: %v", err)
+	}
+	c, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		a.Close()
+		b.Skipf("no UDP loopback: %v", err)
+	}
+	sender := NewEndpoint(a, c.LocalAddr(), 1, Config{})
+	receiver := NewEndpoint(c, a.LocalAddr(), 1, Config{})
+	b.Cleanup(func() { sender.Close(); receiver.Close() })
+	benchSend(b, sender, receiver)
+}
+
+// benchSend sends one 64 KiB message per iteration while a goroutine
+// receives and releases them.
+func benchSend(b *testing.B, sender, receiver *Endpoint) {
 	const size = 64 << 10
 	body := make([]byte, size)
 	for i := range body {

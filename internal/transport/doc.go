@@ -11,8 +11,9 @@
 //
 //	offset  size  field
 //	0       4     magic 0x53504454 ("SPDT", little endian)
-//	4       1     version (1)
-//	5       1     type (1 = data, 2 = ack)
+//	4       1     version (2)
+//	5       1     type: bits 0-6 kind (1 = data, 2 = ack); bit 7 ack
+//	              request (data frames only; an ack with it is corrupt)
 //	6       2     payload length
 //	8       4     session id
 //	12      4     message id
@@ -29,8 +30,12 @@
 // exchange format of the session layer (EncodeWireMeta: the ddt-encoded
 // datatype, element count and destination offset — the committed block
 // program's wire form), the payload is the packed byte stream the
-// receiver scatters through it. Both sides of a connection must agree on
-// MaxPayload: the receiver places frame seq at offset seq*MaxPayload.
+// receiver scatters through it. MaxPayload defaults to MaxPayloadSize, so
+// every frame but the last fills a 1472-byte datagram. Both sides of a
+// connection must agree on MaxPayload: the receiver places frame seq at
+// offset seq*MaxPayload, so it drops any non-final data frame that does
+// not carry exactly MaxPayload bytes, and a mismatched multi-frame send
+// times out instead of delivering a mis-assembled message.
 //
 // A frame whose checksum does not match its contents is dropped on
 // receipt — corruption degrades to loss, and the ARQ below recovers it.
@@ -53,14 +58,39 @@
 //
 // # Ack scheme
 //
-// The receiver acknowledges every data frame it receives with an ack
-// frame: seq is the cumulative ack (every frame below it has been
-// received) and aux is a selective-ack bitmap — bit i set means frame
-// seq+1+i has been received out of order. The sender marks both and
-// retransmits only the holes. Acks are unreliable; a lost ack costs at
-// most one spurious retransmission, which the receiver re-acks (completed
-// messages are remembered and re-acked with a full cumulative ack, so a
-// sender whose final ack was lost still converges).
+// Acks are sent on request, not per frame: every ack costs the receiver a
+// datagram write and the sender a read, so a per-frame ack doubles the
+// syscalls of a message. The sender sets the ack-request bit
+// (Frame.AckReq) on
+//
+//   - every max(1, Window/4)-th frame of a message (frames 7, 15, 23, ...
+//     at the default window of 32);
+//   - the frame that fills the window (seq == base+Window-1);
+//   - the final frame of the message;
+//   - every retransmission.
+//
+// The newest frame in flight therefore always asks, and the sender never
+// waits for an ack it did not ask for, at any Window. The stride derives
+// from the sender's own Window, so the receiver needs no setting. A clean
+// 64 KiB message is 46 data frames and 6 acks.
+//
+// The receiver acks a data frame when
+//
+//   - the frame asked for an ack;
+//   - it arrived out of order, or holes remain below the highest frame
+//     received: the sender needs the selective-ack state to repair them;
+//   - it is a duplicate: the sender is retransmitting, so its ack went
+//     missing;
+//   - it completes the message.
+//
+// Every ack carries the full receive state: seq is the cumulative ack
+// (every frame below it has been received) and aux is a selective-ack
+// bitmap — bit i set means frame seq+1+i has been received out of order.
+// The sender marks both and retransmits only the holes. Acks are
+// unreliable; a lost ack costs at most one RTO and a retransmission, which
+// asks for an ack again. Completed messages are remembered and re-acked
+// with a full cumulative ack, so a sender whose final ack was lost still
+// converges.
 //
 // Because the bitmap covers 32 frames past the cumulative ack, the send
 // window (Config.Window) is capped at 33 frames in flight per message;
@@ -68,8 +98,11 @@
 //
 // # RTO and backoff policy
 //
-// The sender samples round-trip times from acks of frames transmitted
-// exactly once (Karn's rule) and maintains the usual Jacobson estimate:
+// The sender takes one round-trip sample per ack, from the newest frame
+// the ack newly covers that was transmitted exactly once (Karn's rule):
+// the older frames it covers waited for that frame's ack request, so
+// their send times overstate the round trip. It maintains the usual
+// Jacobson estimate:
 // SRTT + 4*RTTVAR, clamped to [Config.RTOMin, Config.RTOMax]. Each Send
 // runs its own retransmission loop: when no ack progress arrives within
 // the current RTO, every unacked in-window frame is retransmitted and the

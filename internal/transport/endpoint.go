@@ -24,12 +24,16 @@ var (
 
 // Config tunes an Endpoint. The zero value selects the defaults.
 type Config struct {
-	// MaxPayload is the data bytes carried per frame (default 1152,
-	// capped at MaxPayloadSize). Both peers must agree on it: the
-	// receiver places frame seq at offset seq*MaxPayload.
+	// MaxPayload is the data bytes carried per frame (default and cap
+	// MaxPayloadSize, a full MTU-sized datagram). Both peers must agree
+	// on it: the receiver places frame seq at offset seq*MaxPayload, so
+	// it drops every non-final data frame that does not carry exactly
+	// MaxPayload bytes. A multi-frame send from a peer with a different
+	// MaxPayload therefore fails with ErrTimeout and delivers nothing.
 	MaxPayload int
 	// Window is the per-message frames in flight (default 32, capped at
-	// 33 — the cumulative ack plus the 32-bit SACK bitmap).
+	// 33 — the cumulative ack plus the 32-bit SACK bitmap). It also sets
+	// the sender's ack-request stride, max(1, Window/4) frames.
 	Window int
 	// RTOMin/RTOMax clamp the retransmission timeout (defaults 2ms and
 	// 500ms).
@@ -41,7 +45,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MaxPayload <= 0 || c.MaxPayload > MaxPayloadSize {
-		c.MaxPayload = 1152
+		c.MaxPayload = MaxPayloadSize
 	}
 	if c.Window <= 0 || c.Window > 33 {
 		c.Window = 32
@@ -82,7 +86,7 @@ type Message struct {
 	// Payload is the message body — the packed byte stream.
 	Payload []byte
 
-	buf []byte
+	buf *[]byte
 }
 
 // Release returns the message's reassembly buffer to the pool. The
@@ -380,19 +384,30 @@ func (e *Endpoint) retransmitWindow(st *txState) error {
 	return e.fillWindow(st)
 }
 
+// wantsAck reports whether transmitting frame seq asks the receiver for
+// an ack: every max(1, Window/4)-th frame, the frame that fills the
+// window, the final frame and every retransmission. The newest frame in
+// flight always asks, so the sender never waits on an ack it did not
+// request. Called with st.mu held, before seq's transmission is counted.
+func (e *Endpoint) wantsAck(st *txState, seq int) bool {
+	w := e.cfg.Window
+	return (seq+1)%max(1, w/4) == 0 || seq == st.base+w-1 || seq == st.frames-1 || st.txCount[seq] > 0
+}
+
 // sendDataFrame encodes and transmits frame seq of st. Called with st.mu
 // held.
 func (e *Endpoint) sendDataFrame(st *txState, seq int) error {
 	off := seq * st.chunk
 	n := min(st.chunk, st.total-off)
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
+	bp := getFrameBuf()
+	defer putFrameBuf(bp)
 	// Stage the payload where AppendFrame will place it; the append then
 	// self-copies in place, so one pooled buffer serves the whole frame.
+	buf := (*bp)[:0]
 	payload := buf[HeaderSize : HeaderSize+n]
 	st.streamAt(payload, off)
 	pkt := AppendFrame(buf, &Frame{
-		Type: FrameData, Session: st.session, Message: st.id,
+		Type: FrameData, AckReq: e.wantsAck(st, seq), Session: st.session, Message: st.id,
 		Seq: uint32(seq), Aux: uint32(st.frames), Payload: payload,
 	})
 	st.sentAt[seq] = time.Since(st.start).Nanoseconds()
@@ -474,14 +489,14 @@ func (e *Endpoint) handleAck(f Frame) {
 	}
 	st.mu.Lock()
 	newly := 0
+	newest := -1 // newest newly acked frame transmitted once (Karn's rule)
 	ackOne := func(i int) {
 		if i < 0 || i >= st.frames || !st.setAcked(i) {
 			return
 		}
 		newly++
-		// Karn's rule: sample RTT only from frames transmitted once.
-		if st.txCount[i] == 1 {
-			e.sampleRTT(time.Duration(time.Since(st.start).Nanoseconds() - st.sentAt[i]))
+		if st.txCount[i] == 1 && i > newest {
+			newest = i
 		}
 	}
 	cum := int(f.Seq)
@@ -495,6 +510,11 @@ func (e *Endpoint) handleAck(f Frame) {
 		i := bits.TrailingZeros32(bm)
 		bm &^= 1 << uint(i)
 		ackOne(int(f.Seq) + 1 + i)
+	}
+	// One sample per ack, from the frame whose transmission the ack
+	// answers: the older frames it covers waited for the ack request.
+	if newest >= 0 {
+		e.sampleRTT(time.Duration(time.Since(st.start).Nanoseconds() - st.sentAt[newest]))
 	}
 	complete := st.ackedN == st.frames
 	if newly > 0 {
@@ -523,22 +543,26 @@ type rxState struct {
 	chunk   int
 	have    []uint64
 	haveN   int
-	cum     int // frames [0, cum) all received
-	buf     []byte
-	lastLen int // payload length of the final frame (0 = not yet seen)
+	cum     int     // frames [0, cum) all received
+	buf     *[]byte // pooled reassembly buffer, frames*chunk bytes
+	lastLen int     // payload length of the final frame (0 = not yet seen)
 	from    net.Addr
 }
 
 func (r *rxState) haveBit(i int) bool { return r.have[i/64]&(1<<uint(i%64)) != 0 }
 
-// handleData stores one data frame, acks it, and delivers the message
-// when it completes.
+// handleData stores one data frame, acks it when the ack scheme calls
+// for one, and delivers the message when it completes.
 func (e *Endpoint) handleData(f Frame, from net.Addr) {
 	key := rxKey{session: f.Session, message: f.Message}
 	frames := int(f.Aux)
 	seq := int(f.Seq)
-	if frames <= 0 || seq < 0 || seq >= frames || len(f.Payload) > e.cfg.MaxPayload {
-		return // nonsense geometry: drop
+	if frames <= 0 || seq < 0 || seq >= frames || len(f.Payload) > e.cfg.MaxPayload ||
+		seq < frames-1 && len(f.Payload) != e.cfg.MaxPayload {
+		// Nonsense geometry: drop. A non-final frame that is not exactly
+		// one chunk comes from a peer with another MaxPayload; stored at
+		// seq*MaxPayload it would leave gaps in the message.
+		return
 	}
 
 	e.mu.Lock()
@@ -564,16 +588,26 @@ func (e *Endpoint) handleData(f Frame, from net.Addr) {
 		e.mu.Unlock()
 		return // inconsistent with the message's established geometry
 	}
+	// A duplicate is never the next expected frame: bit cum is unset.
+	inOrder := seq == st.cum
 	if !st.haveBit(seq) {
 		st.have[seq/64] |= 1 << uint(seq%64)
 		st.haveN++
-		copy(st.buf[seq*st.chunk:], f.Payload)
+		copy((*st.buf)[seq*st.chunk:], f.Payload)
 		if seq == frames-1 {
 			st.lastLen = len(f.Payload)
 		}
 		for st.cum < st.frames && st.haveBit(st.cum) {
 			st.cum++
 		}
+	}
+	complete := st.haveN == st.frames
+	// Ack on request, on completion, and whenever the sender has
+	// something to repair: a frame out of order, a duplicate, or holes
+	// still open below the highest frame received.
+	if !f.AckReq && !complete && inOrder && st.haveN == st.cum {
+		e.mu.Unlock()
+		return
 	}
 	cum := uint32(st.cum)
 	var bitmap uint32
@@ -586,11 +620,10 @@ func (e *Endpoint) handleData(f Frame, from net.Addr) {
 			bitmap |= 1 << uint(i)
 		}
 	}
-	complete := st.haveN == st.frames
 	var msg Message
 	if complete {
 		total := (st.frames-1)*st.chunk + st.lastLen
-		stream := st.buf[:total]
+		stream := (*st.buf)[:total]
 		hdrLen := int(binary.LittleEndian.Uint32(stream))
 		if 4+hdrLen > total {
 			// A sender bug or a forged stream; drop the message rather
@@ -629,14 +662,14 @@ func (e *Endpoint) handleData(f Frame, from net.Addr) {
 
 // sendAck transmits one ack frame to addr.
 func (e *Endpoint) sendAck(addr net.Addr, session, message, cum, bitmap uint32) {
-	buf := getFrameBuf()
-	pkt := AppendFrame(buf, &Frame{
+	bp := getFrameBuf()
+	pkt := AppendFrame((*bp)[:0], &Frame{
 		Type: FrameAck, Session: session, Message: message,
 		Seq: cum, Aux: bitmap,
 	})
 	e.stats.acksSent.Add(1)
 	e.conn.WriteTo(pkt, addr)
-	putFrameBuf(pkt)
+	putFrameBuf(bp)
 }
 
 // Recv returns the next fully reassembled inbound message, waiting up to
@@ -661,25 +694,25 @@ func (e *Endpoint) Recv(timeout time.Duration) (Message, error) {
 	}
 }
 
-// msgPool recycles reassembly buffers (message-sized, up to tens of MiB).
+// msgPool recycles reassembly buffers (message-sized, up to tens of MiB)
+// as *[]byte handles, so recycling one allocates nothing.
 var msgPool sync.Pool
 
-// getMsgBuf returns a length-n buffer with arbitrary contents.
-func getMsgBuf(n int) []byte {
-	if v := msgPool.Get(); v != nil {
-		if b := *(v.(*[]byte)); cap(b) >= n {
-			return b[:n]
-		}
+// getMsgBuf returns a pooled handle to a length-n buffer with arbitrary
+// contents. A pooled buffer too small for n gets a new backing array
+// under the same handle.
+func getMsgBuf(n int) *[]byte {
+	b, _ := msgPool.Get().(*[]byte)
+	if b == nil {
+		b = new([]byte)
 	}
-	c := max(n, 4096)
-	c = 1 << bits.Len(uint(c-1))
-	return make([]byte, n, c)
+	if cap(*b) < n {
+		c := max(n, 4096)
+		*b = make([]byte, 0, 1<<bits.Len(uint(c-1)))
+	}
+	*b = (*b)[:n]
+	return b
 }
 
-// putMsgBuf recycles a reassembly buffer.
-func putMsgBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	msgPool.Put(&b)
-}
+// putMsgBuf recycles a handle obtained from getMsgBuf.
+func putMsgBuf(b *[]byte) { msgPool.Put(b) }

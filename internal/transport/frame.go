@@ -20,7 +20,10 @@ const (
 
 const (
 	frameMagic   uint32 = 0x53504454 // "SPDT"
-	frameVersion byte   = 1
+	frameVersion byte   = 2
+	// ackReqBit is bit 7 of the type byte: the data frame asks the
+	// receiver for an ack. Only data frames may carry it.
+	ackReqBit byte = 0x80
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 28
 	// MaxFrameSize bounds a whole datagram (header + payload); it fits
@@ -32,7 +35,10 @@ const (
 
 // Frame is one parsed datagram.
 type Frame struct {
-	Type    FrameType
+	Type FrameType
+	// AckReq marks a data frame that asks the receiver for an ack (bit 7
+	// of the type byte). The decoder rejects it on any other frame type.
+	AckReq  bool
 	Session uint32
 	Message uint32
 	// Seq is the data frame's index within its message, or the ack's
@@ -62,9 +68,13 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	if len(f.Payload) > MaxPayloadSize {
 		panic(fmt.Sprintf("transport: frame payload %d exceeds %d", len(f.Payload), MaxPayloadSize))
 	}
+	typ := byte(f.Type)
+	if f.AckReq {
+		typ |= ackReqBit
+	}
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
-	dst = append(dst, frameVersion, byte(f.Type))
+	dst = append(dst, frameVersion, typ)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, f.Session)
 	dst = binary.LittleEndian.AppendUint32(dst, f.Message)
@@ -78,9 +88,10 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 }
 
 // DecodeFrame parses one datagram. The returned frame's payload aliases
-// pkt. Any malformed input — short, bad magic or version, inconsistent
-// length, failed checksum — returns ErrCorruptFrame (wrapped with the
-// reason); callers treat it as loss.
+// pkt. Any malformed input — short, bad magic or version, unknown type,
+// an ack-request bit on a non-data frame, inconsistent length, failed
+// checksum — returns ErrCorruptFrame (wrapped with the reason); callers
+// treat it as loss.
 func DecodeFrame(pkt []byte) (Frame, error) {
 	if len(pkt) < HeaderSize {
 		return Frame{}, fmt.Errorf("%w: %d bytes, header is %d", ErrCorruptFrame, len(pkt), HeaderSize)
@@ -91,9 +102,13 @@ func DecodeFrame(pkt []byte) (Frame, error) {
 	if pkt[4] != frameVersion {
 		return Frame{}, fmt.Errorf("%w: version %d", ErrCorruptFrame, pkt[4])
 	}
-	ft := FrameType(pkt[5])
+	ft := FrameType(pkt[5] &^ ackReqBit)
+	ackReq := pkt[5]&ackReqBit != 0
 	if ft != FrameData && ft != FrameAck {
 		return Frame{}, fmt.Errorf("%w: frame type %d", ErrCorruptFrame, ft)
+	}
+	if ackReq && ft != FrameData {
+		return Frame{}, fmt.Errorf("%w: ack request on frame type %d", ErrCorruptFrame, ft)
 	}
 	plen := int(binary.LittleEndian.Uint16(pkt[6:]))
 	if HeaderSize+plen != len(pkt) {
@@ -109,6 +124,7 @@ func DecodeFrame(pkt []byte) (Frame, error) {
 	}
 	return Frame{
 		Type:    ft,
+		AckReq:  ackReq,
 		Session: binary.LittleEndian.Uint32(pkt[8:]),
 		Message: binary.LittleEndian.Uint32(pkt[12:]),
 		Seq:     binary.LittleEndian.Uint32(pkt[16:]),
@@ -119,13 +135,15 @@ func DecodeFrame(pkt []byte) (Frame, error) {
 
 // PeekFrame parses only the header fields of a datagram, without
 // verifying the checksum — the hook FaultConfig.Filter uses to target
-// faults at specific frame types or messages.
+// faults at specific frame types or messages. Type is the frame kind
+// with the ack-request bit split out into AckReq.
 func PeekFrame(pkt []byte) (f Frame, ok bool) {
 	if len(pkt) < HeaderSize || binary.LittleEndian.Uint32(pkt) != frameMagic {
 		return Frame{}, false
 	}
 	return Frame{
-		Type:    FrameType(pkt[5]),
+		Type:    FrameType(pkt[5] &^ ackReqBit),
+		AckReq:  pkt[5]&ackReqBit != 0,
 		Session: binary.LittleEndian.Uint32(pkt[8:]),
 		Message: binary.LittleEndian.Uint32(pkt[12:]),
 		Seq:     binary.LittleEndian.Uint32(pkt[16:]),
@@ -140,13 +158,10 @@ var framePool = sync.Pool{
 	New: func() any { b := make([]byte, 0, MaxFrameSize); return &b },
 }
 
-// getFrameBuf returns an empty buffer with MaxFrameSize capacity.
-func getFrameBuf() []byte { return (*(framePool.Get().(*[]byte)))[:0] }
+// getFrameBuf returns a pooled handle to a buffer of MaxFrameSize
+// capacity. Hand the same handle back to putFrameBuf: pooling a fresh
+// &slice would heap-allocate a slice header on every frame.
+func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
 
-// putFrameBuf recycles a buffer obtained from getFrameBuf.
-func putFrameBuf(b []byte) {
-	if cap(b) < MaxFrameSize {
-		return
-	}
-	framePool.Put(&b)
-}
+// putFrameBuf recycles a handle obtained from getFrameBuf.
+func putFrameBuf(b *[]byte) { framePool.Put(b) }

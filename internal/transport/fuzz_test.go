@@ -41,6 +41,8 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		badsum,
 		{},
 		make([]byte, HeaderSize),
+		AppendFrame(nil, &Frame{Type: FrameData, AckReq: true, Session: 1, Message: 2, Seq: 7, Aux: 46, Payload: []byte("ack me")}),
+		AppendFrame(nil, &Frame{Type: FrameAck, AckReq: true, Session: 1, Message: 2, Seq: 8}), // non-canonical
 	})
 
 	nested := ddt.MustVector(3, 1, 2, ddt.MustVector(4, 2, 3, ddt.Char))
@@ -67,6 +69,10 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, &Frame{Type: FrameData, Payload: make([]byte, MaxPayloadSize)}))
 	f.Add([]byte{})
 	f.Add(make([]byte, HeaderSize))
+	f.Add(AppendFrame(nil, &Frame{Type: FrameData, AckReq: true, Seq: 7, Aux: 8, Payload: []byte("ack me")}))
+	// The ack-request bit on an ack is non-canonical: the decoder must
+	// reject it.
+	f.Add(AppendFrame(nil, &Frame{Type: FrameAck, AckReq: true, Seq: 8}))
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		fr, err := DecodeFrame(pkt)
 		if err != nil {

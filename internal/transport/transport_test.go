@@ -53,15 +53,20 @@ func lossRates(t *testing.T) []int {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	f := Frame{Type: FrameData, Session: 7, Message: 9, Seq: 3, Aux: 42, Payload: []byte("hello frame")}
+	f := Frame{Type: FrameData, AckReq: true, Session: 7, Message: 9, Seq: 3, Aux: 42, Payload: []byte("hello frame")}
 	pkt := AppendFrame(nil, &f)
 	got, err := DecodeFrame(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != f.Type || got.Session != f.Session || got.Message != f.Message ||
+	if got.Type != f.Type || got.AckReq != f.AckReq || got.Session != f.Session || got.Message != f.Message ||
 		got.Seq != f.Seq || got.Aux != f.Aux || !bytes.Equal(got.Payload, f.Payload) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, f)
+	}
+	// The ack-request bit is a data-frame flag; an ack carrying it is not
+	// a frame the sender could have produced.
+	if _, err := DecodeFrame(AppendFrame(nil, &Frame{Type: FrameAck, AckReq: true})); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("ack with ack-request bit: %v", err)
 	}
 
 	// Every single-bit corruption anywhere in the datagram must be
@@ -87,8 +92,13 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestPeekFrame(t *testing.T) {
 	pkt := AppendFrame(nil, &Frame{Type: FrameAck, Session: 5, Message: 6, Seq: 2, Aux: 0xf})
 	f, ok := PeekFrame(pkt)
-	if !ok || f.Type != FrameAck || f.Session != 5 || f.Message != 6 || f.Seq != 2 || f.Aux != 0xf {
+	if !ok || f.Type != FrameAck || f.AckReq || f.Session != 5 || f.Message != 6 || f.Seq != 2 || f.Aux != 0xf {
 		t.Fatalf("peek = %+v, %v", f, ok)
+	}
+	// Fault filters match on f.Type == FrameData; an ack-requesting data
+	// frame must still read as one.
+	if f, ok := PeekFrame(AppendFrame(nil, &Frame{Type: FrameData, AckReq: true, Aux: 1})); !ok || f.Type != FrameData || !f.AckReq {
+		t.Fatalf("peek of ack-requesting data frame = %+v, %v", f, ok)
 	}
 	if _, ok := PeekFrame([]byte("not a frame")); ok {
 		t.Fatal("peek accepted garbage")
@@ -260,6 +270,129 @@ func TestSendTimeout(t *testing.T) {
 		t.Fatalf("sibling delivery: id %d err %v", msg.ID, err)
 	}
 	msg.Release()
+}
+
+// quietConfig keeps the RTO far above the in-memory pipe's round trip, so
+// any retransmission in a clean run means the sender stalled waiting for
+// an ack it never asked for.
+func quietConfig(window int) Config {
+	return Config{Window: window, RTOMin: 250 * time.Millisecond, RTOMax: time.Second}
+}
+
+// sendOne sends body over the pair and requires byte-identical delivery.
+func sendOne(t *testing.T, sender, receiver *Endpoint, body []byte) {
+	t.Helper()
+	id := sender.NextMessageID()
+	if err := sender.Send(id, nil, body); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := receiver.Recv(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer msg.Release()
+	if msg.ID != id || !bytes.Equal(msg.Payload, body) {
+		t.Fatalf("delivered message %d differs (%d payload bytes)", msg.ID, len(msg.Payload))
+	}
+}
+
+// TestAckPolicyClean pins the ack budget of a clean send: a 64 KiB
+// message fills 46 full-MTU frames, and with the default window of 32
+// the receiver acks frames 7, 15, 23, 31, 39 (stride 8, which also
+// covers every window-filling frame) and the final frame 45.
+func TestAckPolicyClean(t *testing.T) {
+	sender, receiver := pair(t, quietConfig(0), nil)
+	body := make([]byte, 64<<10)
+	for i := range body {
+		body[i] = byte(i * 13)
+	}
+	sendOne(t, sender, receiver, body)
+	s, r := sender.Stats(), receiver.Stats()
+	if s.DataSent != 46 || s.Retransmits != 0 || s.AcksReceived != 6 || r.AcksSent != 6 {
+		t.Fatalf("sender %+v, receiver %+v: want 46 frames, 0 retransmits, 6 acks", s, r)
+	}
+}
+
+// TestAckPolicyWindows sends multi-window messages at window sizes on
+// both sides of the stride rounding (Window/4 of 0, 1 and 8) and at the
+// cap. The newest frame in flight must always request an ack; if it did
+// not, the send would stall until the RTO and retransmit.
+func TestAckPolicyWindows(t *testing.T) {
+	for _, w := range []int{1, 2, 7, 32, 33} {
+		t.Run(fmt.Sprintf("window%d", w), func(t *testing.T) {
+			sender, receiver := pair(t, quietConfig(w), nil)
+			body := make([]byte, 5*w*MaxPayloadSize-100)
+			for i := range body {
+				body[i] = byte(i * 7)
+			}
+			sendOne(t, sender, receiver, body)
+			if s := sender.Stats(); s.Retransmits != 0 {
+				t.Fatalf("window %d: %d retransmits in a clean run: %+v", w, s.Retransmits, s)
+			}
+		})
+	}
+}
+
+// TestAckRequestLost drops only the first ack-requesting frame. Nothing
+// asks for that frame's ack again until the RTO retransmits it (the
+// retransmission asks), so the message must still arrive byte-identical.
+func TestAckRequestLost(t *testing.T) {
+	dropped := false
+	a, b := Pipe()
+	fc := NewFaultConn(a, FaultConfig{
+		DropRate: 1,
+		Filter: func(pkt []byte) bool {
+			f, ok := PeekFrame(pkt)
+			if !ok || f.Type != FrameData || !f.AckReq || dropped {
+				return false
+			}
+			dropped = true // FaultConn calls the filter under its lock
+			return true
+		},
+	})
+	sender := NewEndpoint(fc, b.LocalAddr(), 1, testConfig())
+	receiver := NewEndpoint(b, a.LocalAddr(), 1, testConfig())
+	defer sender.Close()
+	defer receiver.Close()
+
+	body := make([]byte, 64<<10)
+	for i := range body {
+		body[i] = byte(i * 29)
+	}
+	sendOne(t, sender, receiver, body)
+	if fs := fc.Stats(); fs.Dropped != 1 {
+		t.Fatalf("fault stats %+v: want exactly one dropped frame", fs)
+	}
+	if s := sender.Stats(); s.Retransmits == 0 {
+		t.Fatalf("dropped frame was never retransmitted: %+v", s)
+	}
+}
+
+// TestMaxPayloadMismatch pins the reassembly guard: the receiver places
+// frame seq at seq*MaxPayload, so frames from a sender with a smaller
+// MaxPayload would land with gaps between them. The receiver drops them
+// instead; the send times out and nothing is delivered.
+func TestMaxPayloadMismatch(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxRetries = 3
+	small := cfg
+	small.MaxPayload = 1000
+	a, b := Pipe()
+	sender := NewEndpoint(a, b.LocalAddr(), 1, small)
+	receiver := NewEndpoint(b, a.LocalAddr(), 1, cfg)
+	defer sender.Close()
+	defer receiver.Close()
+
+	if err := sender.Send(0, nil, make([]byte, 5000)); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("mismatched send: err = %v, want ErrTimeout", err)
+	}
+	if msg, err := receiver.Recv(50 * time.Millisecond); err == nil {
+		msg.Release()
+		t.Fatalf("mis-assembled message delivered (%d payload bytes)", len(msg.Payload))
+	}
+	if r := receiver.Stats(); r.MsgsReceived != 0 {
+		t.Fatalf("receiver stats %+v: want nothing delivered", r)
+	}
 }
 
 // TestEndpointClose pins shutdown semantics: Recv on a closed endpoint
