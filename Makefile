@@ -2,7 +2,8 @@
 #
 # CI (.github/workflows/ci.yml) runs these as separate jobs:
 #
-#   lint         gofmt -l (must print nothing), go vet, staticcheck
+#   lint         gofmt -l (must print nothing), go vet, staticcheck, and
+#                vet + test of the separate bench/ module
 #   test         build + test
 #   race         `make race` — includes nic/loggops/fabric now that
 #                shards execute those models concurrently, and the
@@ -17,9 +18,11 @@
 #                the PR; the fresh snapshot is still uploaded as an
 #                artifact alongside the bench-smoke snapshot
 #   determinism  `make determinism` — renders every figure/table twice,
-#                once on the serial engine and once on the sharded
-#                engine, and diffs both against the golden outputs in
-#                testdata/golden/ (byte-identical or the job fails)
+#                at GOMAXPROCS=1 and GOMAXPROCS=4 (the executor width
+#                follows GOMAXPROCS), and diffs both against the golden
+#                outputs in testdata/golden/ (byte-identical or the job
+#                fails); the plans snapshot renders once, since plans
+#                never touch the executor
 #   server-soak  `make soak` — >= 64 concurrent client sessions against
 #                an in-process spinsimd session daemon over seeded
 #                fault injection, race-clean, one SPINDDT_LOSS_PCT rate
@@ -137,24 +140,24 @@ bench-baseline:
 # golden refreshes the checked-in figure/table outputs the determinism
 # job diffs against.
 golden:
-	$(GO) run ./cmd/ddtbench $(GOLDEN_ARGS) -engine serial > testdata/golden/ddtbench.txt
+	$(GO) run ./cmd/ddtbench $(GOLDEN_ARGS) > testdata/golden/ddtbench.txt
 
 # plans-golden refreshes the execution-plan snapshot: the disassembled
 # pack/unpack plan and gather resolver of every application datatype.
 plans-golden:
-	$(GO) run ./cmd/ddtbench -fig plans -engine serial > testdata/golden/plans.txt
+	$(GO) run ./cmd/ddtbench -fig plans > testdata/golden/plans.txt
 
-# determinism renders every figure/table on both engines and requires
-# byte-identical output, pinned to the goldens. Scratch renders land in
-# the gitignored out/ directory, never at the repo root.
+# determinism renders every figure/table with one executor worker and with
+# four (the width follows GOMAXPROCS) and requires byte-identical output,
+# pinned to the goldens. The plans snapshot renders once: plans never touch
+# the executor. Scratch renders land in the gitignored out/ directory, never
+# at the repo root.
 determinism:
 	@mkdir -p out
-	$(GO) run ./cmd/ddtbench $(GOLDEN_ARGS) -engine serial > out/ddtbench-serial.out
-	$(GO) run ./cmd/ddtbench $(GOLDEN_ARGS) -engine sharded > out/ddtbench-sharded.out
-	diff -u testdata/golden/ddtbench.txt out/ddtbench-serial.out
-	diff -u testdata/golden/ddtbench.txt out/ddtbench-sharded.out
-	$(GO) run ./cmd/ddtbench -fig plans -engine serial > out/plans-serial.out
-	$(GO) run ./cmd/ddtbench -fig plans -engine sharded > out/plans-sharded.out
-	diff -u testdata/golden/plans.txt out/plans-serial.out
-	diff -u testdata/golden/plans.txt out/plans-sharded.out
-	@echo "determinism: serial and sharded outputs match the goldens"
+	GOMAXPROCS=1 $(GO) run ./cmd/ddtbench $(GOLDEN_ARGS) > out/ddtbench-w1.out
+	GOMAXPROCS=4 $(GO) run ./cmd/ddtbench $(GOLDEN_ARGS) > out/ddtbench-w4.out
+	diff -u testdata/golden/ddtbench.txt out/ddtbench-w1.out
+	diff -u testdata/golden/ddtbench.txt out/ddtbench-w4.out
+	$(GO) run ./cmd/ddtbench -fig plans > out/plans.out
+	diff -u testdata/golden/plans.txt out/plans.out
+	@echo "determinism: 1-worker and 4-worker outputs match the goldens"

@@ -6,15 +6,15 @@
 //	ddtbench -fig all            # every figure and ablation
 //	ddtbench -fig 8 -msg 4194304 # one figure at a chosen message size
 //	ddtbench -fig 16             # the full application sweep
-//	ddtbench -engine sharded     # same outputs on the sharded engine
 //
 // Figure ids: 2, 8, 9c, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, cluster,
 // ablations, alltoall, haloexchange, haloexchange64, haloscaling, haloscaling512, incast.
 //
-// -engine selects the discrete-event executor: "serial" (default) or
-// "sharded" (domains with conservative-lookahead synchronization,
-// sim.Shard). Outputs are byte-identical either way — the determinism CI
-// job renders both and diffs them against the same goldens.
+// Every simulation runs on one executor (nic.RunExchange, plus the sharded
+// cluster receive and the sharded LogGOPS replay), whose width follows
+// GOMAXPROCS. Outputs are byte-identical at any width: the determinism CI
+// job renders them at GOMAXPROCS=1 and 4 and diffs both against the same
+// goldens.
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 	"os"
 
 	"spinddt/internal/apps"
-	"spinddt/internal/core"
 	"spinddt/internal/experiments"
 )
 
@@ -31,18 +30,7 @@ func main() {
 	fig := flag.String("fig", "all", "figure to regenerate (2|8|9b|9c|10|11|12|13|14|15|16|17|18|19|cluster|ablations|alltoall|haloexchange|haloexchange64|haloscaling|haloscaling512|incast|all) or the plans snapshot (plans, not in all)")
 	msg := flag.Int64("msg", 4<<20, "message size in bytes for the microbenchmarks")
 	fftN := flag.Int("fft-n", 20480, "FFT2D matrix dimension for Fig. 19")
-	engine := flag.String("engine", "serial", "discrete-event executor: serial|sharded")
 	flag.Parse()
-
-	switch *engine {
-	case "serial":
-		core.DefaultEngine = core.EngineSerial
-	case "sharded":
-		core.DefaultEngine = core.EngineSharded
-	default:
-		fmt.Fprintf(os.Stderr, "ddtbench: unknown engine %q\n", *engine)
-		os.Exit(1)
-	}
 
 	if err := run(*fig, *msg, *fftN); err != nil {
 		fmt.Fprintln(os.Stderr, "ddtbench:", err)

@@ -12,11 +12,10 @@ import (
 )
 
 // BackendEnv carries the session configuration a backend needs to execute
-// a flush: the device model, the executor knob and the host CPU profile.
+// a flush: the device model and the host CPU profile.
 type BackendEnv struct {
-	NIC    nic.Config
-	Engine EngineMode
-	Host   hostcpu.Config
+	NIC  nic.Config
+	Host hostcpu.Config
 	// Counters, when non-nil, receives plan-usage tallies (fused CRC
 	// kernels) from backends that exercise them; nil disables counting.
 	Counters *PlanCounters
@@ -100,13 +99,15 @@ type Backend interface {
 
 // SimBackend executes messages on the simulated sPIN NIC: the paper's
 // timing models (fabric, inbound parser, HPUs, DMA, PCIe), with all
-// messages of one flush sharing a single device residency pass.
+// messages of one flush sharing a single device residency pass. Each call
+// is a one-endpoint topology run by nic.RunExchange.
 type SimBackend struct{}
 
 // Name implements Backend.
 func (SimBackend) Name() string { return "sim" }
 
-// Flush implements Backend on the NIC simulator.
+// Flush implements Backend on the NIC simulator: a receive batch, every
+// message contending for one inbound device.
 func (SimBackend) Flush(env BackendEnv, msgs []BackendMessage) ([]nic.Result, error) {
 	batch := make([]nic.BatchMessage, len(msgs))
 	for i := range msgs {
@@ -121,10 +122,11 @@ func (SimBackend) Flush(env BackendEnv, msgs []BackendMessage) ([]nic.Result, er
 			Arrivals: m.Arrivals,
 		}
 	}
-	if env.Engine == EngineSharded {
-		return nic.ReceiveBatchSharded(env.NIC, batch)
+	res, err := nic.RunExchange([]nic.ExchangeEndpoint{{Cfg: env.NIC, Recvs: batch}}, 1)
+	if err != nil {
+		return nil, err
 	}
-	return nic.ReceiveBatch(env.NIC, batch)
+	return res.Recvs[0], nil
 }
 
 // Iovec implements Backend on the NIC simulator.
@@ -144,46 +146,44 @@ func stageSend(s *BackendSend) error {
 	return err
 }
 
-// FlushSends implements Backend on the NIC simulator: every send of the
-// batch runs against ONE outbound device, contending for its HPUs, host
-// read path, injection link and NIC memory.
+// FlushSends implements Backend on the NIC simulator: a send batch, every
+// send running against ONE outbound device, contending for its HPUs, host
+// read path, injection link and NIC memory. The sends are uncoupled: their
+// packets leave into the unmodeled fabric.
 func (SimBackend) FlushSends(env BackendEnv, sends []BackendSend) ([]nic.SendResult, error) {
-	batch := make([]nic.TxMessage, len(sends))
+	batch := make([]nic.ExchangeSend, len(sends))
 	for i := range sends {
 		if err := stageSend(&sends[i]); err != nil {
 			return nil, fmt.Errorf("core: send %d: %w", i, err)
 		}
-		batch[i] = sends[i].Msg
+		batch[i] = nic.ExchangeSend{Msg: sends[i].Msg, Dst: -1}
 	}
-	if env.Engine == EngineSharded {
-		return nic.SendBatchSharded(env.NIC, batch)
+	res, err := nic.RunExchange([]nic.ExchangeEndpoint{{Cfg: env.NIC, Sends: batch}}, 1)
+	if err != nil {
+		return nil, err
 	}
-	return nic.SendBatch(env.NIC, batch)
+	return res.Sends[0], nil
 }
 
-// Transfer implements Backend on the NIC simulator: tx and rx devices run
-// in one coupled simulation joined by the fabric.
+// Transfer implements Backend on the NIC simulator: coupled transfers on
+// one endpoint, each send pacing the endpoint's own receive through the
+// fabric, tx and rx devices in one simulation.
 func (SimBackend) Transfer(env BackendEnv, xfers []BackendTransfer) ([]nic.SendResult, []nic.Result, error) {
-	pairs := make([]nic.CoupledMessage, len(xfers))
+	sends := make([]nic.ExchangeSend, len(xfers))
+	recvs := make([]nic.BatchMessage, len(xfers))
 	for i := range xfers {
 		x := &xfers[i]
 		if err := stageSend(&x.Send); err != nil {
 			return nil, nil, fmt.Errorf("core: transfer %d: %w", i, err)
 		}
-		pairs[i] = nic.CoupledMessage{
-			Tx: x.Send.Msg,
-			Rx: nic.BatchMessage{
-				PT:     x.Recv.PT,
-				Bits:   x.Recv.Bits,
-				Packed: x.Recv.Packed,
-				Host:   x.Recv.Dst,
-			},
-		}
+		sends[i] = nic.ExchangeSend{Msg: x.Send.Msg, Dst: 0, DstRecv: i}
+		recvs[i] = nic.BatchMessage{PT: x.Recv.PT, Bits: x.Recv.Bits, Packed: x.Recv.Packed, Host: x.Recv.Dst}
 	}
-	if env.Engine == EngineSharded {
-		return nic.RunCoupledSharded(env.NIC, env.NIC, pairs)
+	res, err := nic.RunExchange([]nic.ExchangeEndpoint{{Cfg: env.NIC, Recvs: recvs, Sends: sends}}, 1)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nic.RunCoupled(env.NIC, env.NIC, pairs)
+	return res.Sends[0], res.Recvs[0], nil
 }
 
 // MemBackend executes messages directly on host memory: each posted

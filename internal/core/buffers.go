@@ -10,15 +10,17 @@ import (
 // payload, the host staging buffer, the receive buffer and the verify
 // reference. A figure sweep runs thousands of independent simulations, each
 // needing megabytes of scratch; recycling keeps the allocation volume flat
-// instead of linear in the number of experiments.
-var bufPool sync.Pool
+// instead of linear in the number of experiments. Both pools hold handles:
+// callers hand back the handle they drew, so a Put allocates nothing.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// getBuf returns a length-n byte slice with arbitrary contents.
-func getBuf(n int64) []byte {
-	if v := bufPool.Get(); v != nil {
-		if b := *(v.(*[]byte)); int64(cap(b)) >= n {
-			return b[:n]
-		}
+// getBuf returns a pooled handle to a length-n byte slice with arbitrary
+// contents.
+func getBuf(n int64) *[]byte {
+	b := bufPool.Get().(*[]byte)
+	if int64(cap(*b)) >= n {
+		*b = (*b)[:n]
+		return b
 	}
 	// Round capacities up to powers of two so sweeps over many message
 	// sizes converge onto a few reusable buffers.
@@ -27,7 +29,8 @@ func getBuf(n int64) []byte {
 		c = 4096
 	}
 	c = int64(1) << bits.Len64(uint64(c-1))
-	return make([]byte, n, c)
+	*b = make([]byte, n, c)
+	return b
 }
 
 // cleanPool recycles buffers that are zero through their full capacity, so
@@ -38,38 +41,29 @@ func getBuf(n int64) []byte {
 // loudly catch any violation of the invariant.
 var cleanPool sync.Pool
 
-// getZeroBuf returns a length-n zeroed byte slice, matching a fresh make().
-func getZeroBuf(n int64) []byte {
-	if v := cleanPool.Get(); v != nil {
-		if b := *(v.(*[]byte)); int64(cap(b)) >= n {
-			return b[:n]
-		} else {
-			// Too small for this request but still a perfectly good
-			// buffer; let the dirty pool reuse it.
-			putBuf(b)
+// getZeroBuf returns a pooled handle to a length-n zeroed byte slice,
+// matching a fresh make().
+func getZeroBuf(n int64) *[]byte {
+	if b, _ := cleanPool.Get().(*[]byte); b != nil {
+		if int64(cap(*b)) >= n {
+			*b = (*b)[:n]
+			return b
 		}
+		// Too small for this request but still a perfectly good buffer;
+		// let the dirty pool reuse it.
+		putBuf(b)
 	}
 	b := getBuf(n)
-	clear(b[:cap(b)])
+	clear((*b)[:cap(*b)])
 	return b
 }
 
-// putCleanBuf makes a buffer that is zero through cap(b) available for
-// reuse without re-clearing.
-func putCleanBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	cleanPool.Put(&b)
-}
+// putCleanBuf makes a buffer that is zero through its capacity available
+// for reuse without re-clearing.
+func putCleanBuf(b *[]byte) { cleanPool.Put(b) }
 
 // putBuf makes a scratch buffer available for reuse.
-func putBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	bufPool.Put(&b)
-}
+func putBuf(b *[]byte) { bufPool.Put(b) }
 
 // payloadCache memoizes the synthetic message payloads. The fill is a pure
 // function of (seed, size) and sweeps re-synthesize the same payload for

@@ -104,7 +104,7 @@ func (s *Session) RunCluster(req ClusterRequest) (ClusterResult, error) {
 	eps := make([]nic.ClusterEndpoint, req.Endpoints)
 	offs := make([]*Offload, req.Endpoints)
 	packs := make([][]byte, req.Endpoints)
-	dsts := make([][]byte, req.Endpoints)
+	dsts := make([]*[]byte, req.Endpoints)
 	for i := range eps {
 		// Each endpoint gets its own offload instance: the immutable parts
 		// (dataloops, checkpoint masters) live in the shared template, the
@@ -131,7 +131,7 @@ func (s *Session) RunCluster(req ClusterRequest) (ClusterResult, error) {
 			PT:     off.PT(),
 			Bits:   1,
 			Packed: packs[i],
-			Host:   dsts[i],
+			Host:   *dsts[i],
 			Start:  sim.Time(i) * req.Stagger,
 		}
 	}
@@ -162,7 +162,7 @@ func (s *Session) RunCluster(req ClusterRequest) (ClusterResult, error) {
 			TrafficBytes: msgSize,
 		}
 		if req.Verify {
-			if err := verifyReference(typ, req.Count, packs[i], dsts[i], hi); err != nil {
+			if err := verifyReference(typ, req.Count, packs[i], *dsts[i], hi); err != nil {
 				return ClusterResult{}, fmt.Errorf("core: cluster endpoint %d %v: %w", i, req.Strategy, err)
 			}
 			r.Verified = true

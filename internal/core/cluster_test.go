@@ -11,49 +11,6 @@ import (
 // clusterType is a Fig. 13-style vector: 2 KiB blocks, 2x stride.
 func clusterType() *ddt.Type { return ddt.MustVector(64, 512, 1024, ddt.Int) } // 128 KiB
 
-// TestEngineShardedMatchesSerial pins the engine knob's byte-identity
-// contract: every strategy must report the exact same Result under the
-// serial and sharded executors (the determinism CI gate renders every
-// figure both ways against one golden).
-func TestEngineShardedMatchesSerial(t *testing.T) {
-	for _, s := range []Strategy{Specialized, RWCP, ROCP, HPULocal, HostUnpack} {
-		serialReq := NewRequest(s, clusterType(), 1)
-		shardedReq := serialReq
-		shardedReq.Engine = EngineSharded
-		serial, err := Run(serialReq)
-		if err != nil {
-			t.Fatalf("%v serial: %v", s, err)
-		}
-		sharded, err := Run(shardedReq)
-		if err != nil {
-			t.Fatalf("%v sharded: %v", s, err)
-		}
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("%v: sharded engine diverged\nserial:  %+v\nsharded: %+v", s, serial, sharded)
-		}
-	}
-}
-
-// TestTransferShardedMatchesSerial covers the end-to-end transfer path.
-func TestTransferShardedMatchesSerial(t *testing.T) {
-	for _, recv := range []Strategy{RWCP, HostUnpack} {
-		serialReq := NewTransferRequest(OutboundSpin, recv, clusterType(), 1)
-		shardedReq := serialReq
-		shardedReq.Engine = EngineSharded
-		serial, err := RunTransfer(serialReq)
-		if err != nil {
-			t.Fatalf("%v serial: %v", recv, err)
-		}
-		sharded, err := RunTransfer(shardedReq)
-		if err != nil {
-			t.Fatalf("%v sharded: %v", recv, err)
-		}
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("transfer to %v: sharded engine diverged", recv)
-		}
-	}
-}
-
 // TestRunClusterVerifiedAndExecutorInvariant checks the multi-endpoint
 // cluster: every endpoint's buffer verifies against its own payload, and
 // the whole ClusterResult is identical across executor widths.

@@ -23,7 +23,7 @@ func runOff(t *testing.T, off *Offload, typ *ddt.Type, count int, order []int, s
 	_, hi := typ.Footprint(count)
 	packed := payloadFor(seed, msgSize)
 	dst := make([]byte, hi)
-	env := BackendEnv{NIC: nic.DefaultConfig(), Engine: EngineSerial, Host: hostcpu.DefaultConfig()}
+	env := BackendEnv{NIC: nic.DefaultConfig(), Host: hostcpu.DefaultConfig()}
 	res, err := oneShot.flushOne(env, BackendMessage{
 		Type: typ, Count: count, PT: off.PT(), Bits: 1,
 		Packed: packed, Dst: dst, Order: order,
@@ -208,7 +208,7 @@ func TestInstantiateReleaseRace(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			defer wg.Done()
-			env := BackendEnv{NIC: nic.DefaultConfig(), Engine: EngineSerial, Host: hostcpu.DefaultConfig()}
+			env := BackendEnv{NIC: nic.DefaultConfig(), Host: hostcpu.DefaultConfig()}
 			for i := 0; i < rounds; i++ {
 				off, err := seed.Instantiate()
 				if err != nil {

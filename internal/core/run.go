@@ -37,10 +37,6 @@ type Request struct {
 	Verify bool
 	// Seed generates the synthetic message payload.
 	Seed int64
-	// Engine selects the executor (serial by default; EngineSharded runs
-	// the NIC and host as separate conservative-lookahead domains with
-	// byte-identical results).
-	Engine EngineMode
 }
 
 // NewRequest returns a Request with the paper's default configuration.
@@ -55,7 +51,6 @@ func NewRequest(s Strategy, typ *ddt.Type, count int) Request {
 		Epsilon:  0.2,
 		Verify:   true,
 		Seed:     1,
-		Engine:   DefaultEngine,
 	}
 }
 
@@ -134,7 +129,8 @@ func (s *Session) Run(req Request) (Result, error) {
 	// paths simply drop it to the GC. The packed payload is a shared
 	// read-only buffer from the payload cache and is never pooled.
 	packed := payloadFor(req.Seed, msgSize)
-	dst := getZeroBuf(hi)
+	dstBuf := getZeroBuf(hi)
+	dst := *dstBuf
 
 	res := Result{
 		Strategy: req.Strategy,
@@ -142,13 +138,14 @@ func (s *Session) Run(req Request) (Result, error) {
 		Gamma:    typ.Gamma(req.Count, req.NIC.Fabric.MTU),
 	}
 
-	env := BackendEnv{NIC: req.NIC, Engine: req.Engine, Host: req.Host}
+	env := BackendEnv{NIC: req.NIC, Host: req.Host}
 
 	switch req.Strategy {
 	case HostUnpack:
 		// RDMA the packed stream to a staging buffer, then unpack on the
 		// CPU with cold caches.
-		staging := getBuf(msgSize)
+		stagingBuf := getBuf(msgSize)
+		staging := *stagingBuf
 		pt := singleMatchPT(&portals.ME{Match: 1, Region: portals.HostRegion{Length: msgSize}})
 		nicRes, err := s.flushOne(env, BackendMessage{
 			PT: pt, Bits: 1, Region: portals.HostRegion{Length: msgSize},
@@ -161,7 +158,7 @@ func (s *Session) Run(req Request) (Result, error) {
 		if err := ddt.Unpack(typ, req.Count, staging, dst); err != nil {
 			return Result{}, err
 		}
-		putBuf(staging)
+		putBuf(stagingBuf)
 		res.NIC = nicRes
 		res.RecvTime = nicRes.ProcTime
 		res.UnpackCPU = cost.Time
@@ -223,9 +220,9 @@ func (s *Session) Run(req Request) (Result, error) {
 			return Result{}, fmt.Errorf("core: %v %w", req.Strategy, err)
 		}
 		res.Verified = true
-		releaseRecvBuf(typ, req.Count, dst)
+		releaseRecvBuf(typ, req.Count, dstBuf)
 	} else {
-		putBuf(dst)
+		putBuf(dstBuf)
 	}
 	return res, nil
 }
@@ -234,11 +231,12 @@ func (s *Session) Run(req Request) (Result, error) {
 // simulation only wrote the typemap's regions (verifyReference just proved
 // every gap is still zero), so re-zeroing those regions — at most the
 // message size, not the full extent — restores an all-zero buffer.
-func releaseRecvBuf(typ *ddt.Type, count int, dst []byte) {
+func releaseRecvBuf(typ *ddt.Type, count int, dstBuf *[]byte) {
+	dst := *dstBuf
 	typ.ForEachBlock(count, func(off, size int64) {
 		clear(dst[off : off+size])
 	})
-	putCleanBuf(dst)
+	putCleanBuf(dstBuf)
 }
 
 // verifyReference checks the receive buffer byte-for-byte against the
@@ -284,10 +282,10 @@ func verifyReference(typ *ddt.Type, count int, packed, dst []byte, hi int64) err
 	}
 
 	want := getZeroBuf(hi)
-	if err := ddt.Unpack(typ, count, packed, want); err != nil {
+	if err := ddt.Unpack(typ, count, packed, *want); err != nil {
 		return err
 	}
-	if !bytes.Equal(dst, want) {
+	if !bytes.Equal(dst, *want) {
 		return fmt.Errorf("receive buffer differs from reference unpack")
 	}
 	putBuf(want)

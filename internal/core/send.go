@@ -58,8 +58,9 @@ type sendOp struct {
 	count int
 	opts  SendOpts
 
-	src    []byte
-	packed []byte
+	src       []byte
+	packed    []byte
+	packedBuf *[]byte // pooled handle of packed
 
 	done bool
 	res  SendReport
@@ -190,7 +191,8 @@ func (ep *Endpoint) Send(h *TypeHandle, count int, opts SendOpts) (*SendFuture, 
 		}
 		op.src = payloadFor(seed, hi)
 	}
-	op.packed = getBuf(msgSize)
+	op.packedBuf = getBuf(msgSize)
+	op.packed = *op.packedBuf
 
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -237,8 +239,7 @@ func (ep *Endpoint) flushSendsLocked() error {
 			sends[i].Msg.Ctx = b.off.Ctx
 		}
 	}
-	env := BackendEnv{NIC: ep.sess.cfg.NIC, Engine: ep.sess.cfg.Engine, Host: ep.sess.cfg.Host,
-		Counters: &ep.sess.caches.counters}
+	env := BackendEnv{NIC: ep.sess.cfg.NIC, Host: ep.sess.cfg.Host, Counters: &ep.sess.caches.counters}
 	results, err := ep.sess.backend.FlushSends(env, sends)
 	if err != nil {
 		var be *BatchError
@@ -249,7 +250,7 @@ func (ep *Endpoint) flushSendsLocked() error {
 				op.done = true
 				if opErr := be.Errs[i]; opErr != nil {
 					op.err = opErr
-					putBuf(op.packed)
+					putBuf(op.packedBuf)
 				} else {
 					op.res, op.err = ep.finishSendOp(op, results[i])
 				}
@@ -261,7 +262,7 @@ func (ep *Endpoint) flushSendsLocked() error {
 		}
 		for _, op := range ops {
 			op.done, op.err = true, err
-			putBuf(op.packed)
+			putBuf(op.packedBuf)
 		}
 		return err
 	}
@@ -290,7 +291,7 @@ func (ep *Endpoint) finishSendOp(op *sendOp, nicRes nic.SendResult) (SendReport,
 		// CPU-side kinds were materialized by the reference pack itself.
 		if op.build.kind == nic.TxProcessPut {
 			same, err := verifyWire(op.h.typ, op.count, op.src, op.packed)
-			putBuf(op.packed)
+			putBuf(op.packedBuf)
 			if err != nil {
 				return SendReport{}, err
 			}
@@ -299,11 +300,11 @@ func (ep *Endpoint) finishSendOp(op *sendOp, nicRes nic.SendResult) (SendReport,
 					op.h.strategy, ep.sess.backend.Name())
 			}
 		} else {
-			putBuf(op.packed)
+			putBuf(op.packedBuf)
 		}
 		res.Verified = true
 	} else {
-		putBuf(op.packed)
+		putBuf(op.packedBuf)
 	}
 	return res, nil
 }
@@ -321,10 +322,10 @@ func verifyWire(typ *ddt.Type, count int, src, packed []byte) (bool, error) {
 	}
 	want := getBuf(int64(len(packed)))
 	defer putBuf(want)
-	if _, err := ddt.PackInto(typ, count, src, want); err != nil {
+	if _, err := ddt.PackInto(typ, count, src, *want); err != nil {
 		return false, err
 	}
-	return bytes.Equal(packed, want), nil
+	return bytes.Equal(packed, *want), nil
 }
 
 // Wait flushes the endpoint's sends if the message is still pending and

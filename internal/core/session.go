@@ -18,8 +18,7 @@ import (
 var ErrSessionClosed = errors.New("core: session is closed")
 
 // SessionConfig configures a Session: the device and cost models shared by
-// every commit and post, the discrete-event executor, and the backend the
-// posted messages execute on.
+// every commit and post, and the backend the posted messages execute on.
 type SessionConfig struct {
 	NIC  nic.Config
 	Cost CostModel
@@ -28,8 +27,6 @@ type SessionConfig struct {
 	Epsilon float64
 	// PktBufBytes feeds the heuristic's packet-buffer check (0 = off).
 	PktBufBytes int64
-	// Engine selects the discrete-event executor (see Request.Engine).
-	Engine EngineMode
 	// Backend executes posted messages; nil selects SimBackend.
 	Backend Backend
 	// Caches, when non-nil, is a cache set shared with other sessions:
@@ -58,7 +55,6 @@ func NewSessionConfig() SessionConfig {
 		Cost:    DefaultCostModel(),
 		Host:    hostcpu.DefaultConfig(),
 		Epsilon: 0.2,
-		Engine:  DefaultEngine,
 	}
 }
 
@@ -114,7 +110,6 @@ func NewSession(cfg SessionConfig) *Session {
 // RunTransfer wrappers: the simulated backend against the shared default
 // caches, exactly the state those functions used before sessions existed.
 var oneShot = &Session{
-	cfg:     SessionConfig{Engine: DefaultEngine},
 	backend: SimBackend{},
 	caches:  &defaultCaches,
 	handles: make(map[handleID]*TypeHandle),
@@ -427,12 +422,12 @@ type postOp struct {
 	count int
 	opts  PostOpts
 
-	packed    []byte
-	dst       []byte
-	pooledDst bool
-	hi        int64
-	bits      portals.MatchBits
-	me        *portals.ME
+	packed []byte
+	dst    []byte
+	dstBuf *[]byte // pooled receive buffer; nil when the caller supplied Dst
+	hi     int64
+	bits   portals.MatchBits
+	me     *portals.ME
 
 	done bool
 	res  Result
@@ -504,8 +499,8 @@ func (ep *Endpoint) Post(h *TypeHandle, count int, opts PostOpts) (*Future, erro
 		}
 		op.dst = opts.Dst
 	} else {
-		op.dst = getZeroBuf(hi)
-		op.pooledDst = true
+		op.dstBuf = getZeroBuf(hi)
+		op.dst = *op.dstBuf
 	}
 
 	ep.mu.Lock()
@@ -514,8 +509,8 @@ func (ep *Endpoint) Post(h *TypeHandle, count int, opts PostOpts) (*Future, erro
 	ep.nextBits++
 	op.me = &portals.ME{Match: op.bits, Ctx: off.Ctx, UseOnce: true}
 	if err := ep.pt.Append(portals.PriorityList, op.me); err != nil {
-		if op.pooledDst {
-			putCleanBuf(op.dst) // drawn zeroed and never written
+		if op.dstBuf != nil {
+			putCleanBuf(op.dstBuf) // drawn zeroed and never written
 		}
 		return nil, err
 	}
@@ -556,8 +551,7 @@ func (ep *Endpoint) flushLocked() error {
 			Order:  op.opts.Order,
 		}
 	}
-	env := BackendEnv{NIC: ep.sess.cfg.NIC, Engine: ep.sess.cfg.Engine, Host: ep.sess.cfg.Host,
-		Counters: &ep.sess.caches.counters}
+	env := BackendEnv{NIC: ep.sess.cfg.NIC, Host: ep.sess.cfg.Host, Counters: &ep.sess.caches.counters}
 	env.NIC.Trace = ep.cfg.Trace // session-level traces are rejected at NewSession
 	release := ep.sess.acquireTrace(ep.cfg.Trace)
 	results, err := ep.sess.backend.Flush(env, msgs)
@@ -580,8 +574,8 @@ func (ep *Endpoint) flushLocked() error {
 				op.done = true
 				if opErr := be.Errs[i]; opErr != nil {
 					op.err = opErr
-					if op.pooledDst {
-						putBuf(op.dst) // possibly partially scattered: dirty pool
+					if op.dstBuf != nil {
+						putBuf(op.dstBuf) // possibly partially scattered: dirty pool
 					}
 				} else {
 					op.res, op.err = ep.finishOp(op, results[i])
@@ -595,8 +589,8 @@ func (ep *Endpoint) flushLocked() error {
 		}
 		for _, op := range ops {
 			op.done, op.err = true, err
-			if op.pooledDst {
-				putBuf(op.dst) // possibly partially scattered: dirty pool
+			if op.dstBuf != nil {
+				putBuf(op.dstBuf) // possibly partially scattered: dirty pool
 			}
 			op.releaseOff()
 		}
@@ -648,17 +642,17 @@ func (ep *Endpoint) finishOp(op *postOp, nicRes nic.Result) (Result, error) {
 	}
 	if !op.opts.NoVerify {
 		if err := verifyReference(typ, op.count, op.packed, op.dst, op.hi); err != nil {
-			if op.pooledDst {
-				putBuf(op.dst) // holds the mismatching scatter: dirty pool
+			if op.dstBuf != nil {
+				putBuf(op.dstBuf) // holds the mismatching scatter: dirty pool
 			}
 			return Result{}, fmt.Errorf("core: %v (backend %s): %w", op.h.strategy, ep.sess.backend.Name(), err)
 		}
 		res.Verified = true
-		if op.pooledDst {
-			releaseRecvBuf(typ, op.count, op.dst)
+		if op.dstBuf != nil {
+			releaseRecvBuf(typ, op.count, op.dstBuf)
 		}
-	} else if op.pooledDst {
-		putBuf(op.dst)
+	} else if op.dstBuf != nil {
+		putBuf(op.dstBuf)
 	}
 	return res, nil
 }

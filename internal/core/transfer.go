@@ -31,8 +31,6 @@ type TransferRequest struct {
 	Epsilon float64
 	Verify  bool
 	Seed    int64
-	// Engine selects the executor (see Request.Engine).
-	Engine EngineMode
 }
 
 // NewTransferRequest returns a TransferRequest with default configuration.
@@ -40,7 +38,7 @@ func NewTransferRequest(send SendStrategy, recv Strategy, typ *ddt.Type, count i
 	return TransferRequest{
 		Send: send, Recv: recv, SendType: typ, Count: count,
 		NIC: nic.DefaultConfig(), Cost: DefaultCostModel(), Host: hostcpu.DefaultConfig(),
-		Epsilon: 0.2, Verify: true, Seed: 1, Engine: DefaultEngine,
+		Epsilon: 0.2, Verify: true, Seed: 1,
 	}
 }
 
@@ -144,20 +142,23 @@ func (s *Session) RunTransfer(req TransferRequest) (TransferResult, error) {
 	}
 
 	src := payloadFor(req.Seed, sHi) // shared read-only source image
-	packed := getBuf(msg)
+	packedBuf := getBuf(msg)
+	packed := *packedBuf
 	send, err := s.buildBackendSend(req.Send, sendTyp, req.Count, req.NIC, req.Cost, req.Host, src, packed)
 	if err != nil {
 		return TransferResult{}, err
 	}
 
 	_, rHi := recvTyp.Footprint(req.Count)
-	dst := getZeroBuf(rHi)
-	env := BackendEnv{NIC: req.NIC, Engine: req.Engine, Host: req.Host}
+	dstBuf := getZeroBuf(rHi)
+	dst := *dstBuf
+	env := BackendEnv{NIC: req.NIC, Host: req.Host}
 	var res TransferResult
 
 	switch req.Recv {
 	case HostUnpack:
-		staging := getBuf(msg)
+		stagingBuf := getBuf(msg)
+		staging := *stagingBuf
 		pt := singleMatchPT(&portals.ME{Match: 1, Region: portals.HostRegion{Length: msg}})
 		sendRes, recvRes, err := s.transferOne(env, send, BackendMessage{
 			PT: pt, Bits: 1, Region: portals.HostRegion{Length: msg},
@@ -170,7 +171,7 @@ func (s *Session) RunTransfer(req TransferRequest) (TransferResult, error) {
 		if err := ddt.Unpack(recvTyp, req.Count, staging, dst); err != nil {
 			return TransferResult{}, err
 		}
-		putBuf(staging)
+		putBuf(stagingBuf)
 		res.Sender = sendRes
 		res.Receiver = recvRes
 		res.Total = recvRes.Done + cost.Time
@@ -207,10 +208,10 @@ func (s *Session) RunTransfer(req TransferRequest) (TransferResult, error) {
 		// nothing to compare for them.
 		if send.Msg.Kind == nic.TxProcessPut {
 			want := getBuf(msg)
-			if _, err := ddt.PackInto(sendTyp, req.Count, src, want); err != nil {
+			if _, err := ddt.PackInto(sendTyp, req.Count, src, *want); err != nil {
 				return TransferResult{}, err
 			}
-			same := bytes.Equal(packed, want)
+			same := bytes.Equal(packed, *want)
 			putBuf(want)
 			if !same {
 				return TransferResult{}, fmt.Errorf("core: transfer %v->%v: wire stream differs from reference pack", req.Send, req.Recv)
@@ -220,11 +221,11 @@ func (s *Session) RunTransfer(req TransferRequest) (TransferResult, error) {
 			return TransferResult{}, fmt.Errorf("core: transfer %v->%v: %w", req.Send, req.Recv, err)
 		}
 		res.Verified = true
-		releaseRecvBuf(recvTyp, req.Count, dst)
+		releaseRecvBuf(recvTyp, req.Count, dstBuf)
 	} else {
-		putBuf(dst)
+		putBuf(dstBuf)
 	}
-	putBuf(packed)
+	putBuf(packedBuf)
 	return res, nil
 }
 

@@ -312,7 +312,7 @@ func (u *UDPBackend) FlushSends(env BackendEnv, sends []BackendSend) ([]nic.Send
 			continue
 		}
 		scratch := getBuf(int64(len(s.Msg.Packed)))
-		sum, err := packSum(env, s, scratch)
+		sum, err := packSum(env, s, *scratch)
 		if err != nil {
 			putBuf(scratch)
 			errs[i] = fmt.Errorf("core: udp backend send %d: %w", i, err)
@@ -320,7 +320,7 @@ func (u *UDPBackend) FlushSends(env BackendEnv, sends []BackendSend) ([]nic.Send
 		}
 		sums[i] = sum
 		id := u.tx.NextMessageID()
-		err = u.tx.Send(id, transport.EncodeWireMeta(transport.WireMeta{}), scratch)
+		err = u.tx.Send(id, transport.EncodeWireMeta(transport.WireMeta{}), *scratch)
 		putBuf(scratch)
 		if err != nil {
 			errs[i] = fmt.Errorf("core: udp backend send %d: %w", i, err)

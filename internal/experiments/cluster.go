@@ -8,21 +8,11 @@ import (
 	"spinddt/internal/sim"
 )
 
-// clusterWorkers returns the executor width for sharded cluster runs: the
-// serial executor under the serial engine, and a multi-worker executor —
-// at least 4, so the parallel merge path is exercised even on small
-// machines — under the sharded engine. The width never affects results,
-// only wall-clock, so the rendered table is engine-invariant.
-func clusterWorkers() int {
-	if core.DefaultEngine != core.EngineSharded {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w < 4 {
-		w = 4
-	}
-	return w
-}
+// clusterWorkers returns the executor width of the multi-domain runs: one
+// worker per usable CPU. The width never affects results, only
+// wall-clock, so every rendered table is width-invariant (`make
+// determinism` renders them at GOMAXPROCS=1 and 4).
+func clusterWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // ShardedClusterExchange reports the sharded multi-endpoint experiment:
 // endpoints receivers of the Fig. 13 workload (2 KiB blocks) simulated as

@@ -60,16 +60,13 @@ func Fig19FFT2D(n int, nodeCounts []int) ([]FFT2DPoint, *Table, error) {
 			extra = 0
 		}
 
+		// The replay is sharded into rank-group domains under lookahead
+		// L. The makespan is identical to the serial replay
+		// (loggops.RunSharded); only wall-clock changes.
 		cfg := loggops.FFT2DConfig{
 			N: n, ElemBytes: 16, FlopRate: 6.5e9,
-			Net: loggops.NextGen(),
-		}
-		if core.DefaultEngine == core.EngineSharded {
-			// Large-scale runs opt into the sharded replay: rank-group
-			// domains under lookahead L. The makespan is identical to the
-			// serial replay (loggops.RunSharded); only wall-clock changes.
-			cfg.Domains = 8
-			cfg.Workers = 4
+			Net:     loggops.NextGen(),
+			Domains: 8, Workers: clusterWorkers(),
 		}
 		hostRun := cfg
 		hostRun.UnpackPerMsg = unpack.Time

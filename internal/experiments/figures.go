@@ -41,7 +41,7 @@ func Fig02Latency() (*Table, error) {
 			return 0, err
 		}
 		host := make([]byte, 1)
-		res, err := core.Receive(cfg, pt, 1, packed, host, nil)
+		res, err := nic.Receive(cfg, pt, 1, packed, host, nil)
 		if err != nil {
 			return 0, err
 		}

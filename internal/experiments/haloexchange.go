@@ -334,14 +334,13 @@ func haloSizeLabel(msgBytes int64) string {
 // full NIC: its two outbound halo messages (to the left and right
 // neighbors) are gathered by sender-side sPIN handlers and contend for the
 // rank's ONE outbound device — HPUs, host read path, injection link — and
-// its two inbound messages contend for the rank's ONE inbound device,
-// ReceiveBatch-style. Each packet's wire bytes stream across rank domains
+// its two inbound messages contend for the rank's ONE inbound device, as
+// in a receive batch. Each packet's wire bytes stream across rank domains
 // as a pooled chunk when its injection completes, so sender-side
 // backpressure paces the receivers tick for tick and no per-message wire
 // stream is ever materialized. Results are identical for every executor
-// width and for both engines (the serial executor and the windowed
-// parallel one fire the same event sequences), which the determinism CI
-// job pins.
+// width (the serial executor and the windowed parallel one fire the same
+// event sequences), which the determinism CI job pins.
 func HaloExchange(ranks int, msgBytes int64) (*Table, error) {
 	if ranks < 3 {
 		return nil, fmt.Errorf("halo exchange needs at least 3 ranks, have %d", ranks)

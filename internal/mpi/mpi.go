@@ -287,7 +287,7 @@ func (l *Lib) Deliver(match portals.MatchBits, packed []byte, order []int) (*Rec
 		if err := l.pt.Append(portals.OverflowList, me); err != nil {
 			return nil, err
 		}
-		if _, err := core.Receive(l.nicCfg, l.pt, match, packed, staging, order); err != nil {
+		if _, err := nic.Receive(l.nicCfg, l.pt, match, packed, staging, order); err != nil {
 			return nil, err
 		}
 		l.unexpected[match] = staging
@@ -297,7 +297,7 @@ func (l *Lib) Deliver(match portals.MatchBits, packed []byte, order []int) (*Rec
 	delete(l.posted, match)
 
 	if r.Offloaded {
-		res, err := core.Receive(l.nicCfg, l.pt, match, packed, r.buf, order)
+		res, err := nic.Receive(l.nicCfg, l.pt, match, packed, r.buf, order)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +311,7 @@ func (l *Lib) Deliver(match portals.MatchBits, packed []byte, order []int) (*Rec
 	}
 
 	staging := make([]byte, len(packed))
-	res, err := core.Receive(l.nicCfg, l.pt, match, packed, staging, order)
+	res, err := nic.Receive(l.nicCfg, l.pt, match, packed, staging, order)
 	if err != nil {
 		return nil, err
 	}

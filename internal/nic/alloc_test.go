@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"spinddt/internal/pcie"
@@ -55,10 +56,14 @@ func TestReceiveSteadyStateAllocBound(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		recv()
 	}
+	// As in TestExchangeSteadyStateAllocBound, a GC during the measurement
+	// would empty the pools the receive draws from; measure the warm
+	// steady state with the collector off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n := testing.AllocsPerRun(50, recv)
 	// 64 packets used to cost hundreds of closure allocations; the typed
-	// path leaves only the per-simulation structures.
-	if n > 40 {
+	// path on pooled devices leaves only the escaping result rows.
+	if n > 10 {
 		t.Fatalf("steady-state receive allocates %v per message", n)
 	}
 }

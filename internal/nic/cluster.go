@@ -4,20 +4,23 @@ import (
 	"errors"
 	"fmt"
 
-	"spinddt/internal/fabric"
 	"spinddt/internal/portals"
 	"spinddt/internal/sim"
 )
 
-// This file shards the receive model across domains (sim.Shard): a fabric
-// domain that owns the wire and mails packet deliveries to per-endpoint
-// NIC+HPU domains, and a host domain that collects completion
-// notifications over the PCIe round trip. Lookaheads come straight from
-// the link models: fabric.Config.Lookahead (the wire latency) bounds
-// fabric-to-NIC influence, pcie.Config.NotifyLatency bounds NIC-to-host
-// influence. Between synchronization windows the endpoint domains execute
-// in parallel; results are byte-identical to the serial executor by the
-// sharded engine's determinism contract.
+// This file is the one runner besides RunExchange: the cluster receive
+// shards the receive model across a fabric domain that owns the wire and
+// mails packet deliveries to per-endpoint NIC+HPU domains, and a host
+// domain that collects completion notifications over the PCIe round trip.
+// Lookaheads come straight from the link models: fabric.Config.Lookahead
+// (the wire latency) bounds fabric-to-NIC influence,
+// pcie.Config.NotifyLatency bounds NIC-to-host influence. Between
+// synchronization windows the endpoint domains execute in parallel;
+// results are byte-identical to the serial executor by the sharded
+// engine's determinism contract. The fabric domain is why the cluster
+// receive stays its own runner: its per-packet wire events set the
+// windows a cluster run reports, which RunExchange's topologies (where
+// the fabric is folded into the senders' lookahead) would change.
 
 // ClusterEndpoint describes one receiver of a sharded cluster receive.
 type ClusterEndpoint struct {
@@ -135,7 +138,7 @@ func ReceiveCluster(eps []ClusterEndpoint, workers int) (ClusterResult, error) {
 		if notifyLat <= 0 {
 			return ClusterResult{}, fmt.Errorf("nic: endpoint %d PCIe notify latency %v cannot synchronize a sharded cluster", i, notifyLat)
 		}
-		epShards[i] = pe.NewShard(fmt.Sprintf("nic%d", i), notifyLat)
+		epShards[i] = pe.NewShard("nic", notifyLat)
 	}
 	hostShard := pe.NewShard("host", sim.InfiniteLookahead)
 	host := &clusterHost{shard: hostShard, notified: make([]sim.Time, len(eps))}
@@ -147,14 +150,17 @@ func ReceiveCluster(eps []ClusterEndpoint, workers int) (ClusterResult, error) {
 		if err != nil {
 			return ClusterResult{}, fmt.Errorf("nic: endpoint %d: %w", i, err)
 		}
-		s, err := newRxSim(&epShards[i].Engine, ep.Cfg, ep.PT, ep.Bits, ep.Packed, ep.Host, arrivals)
+		dev, err := acquireRxDevice(&epShards[i].Engine, ep.Cfg)
 		if err != nil {
 			return ClusterResult{}, fmt.Errorf("nic: endpoint %d: %w", i, err)
 		}
-		idx, shard, lat := int64(i), epShards[i], ep.Cfg.PCIe.NotifyLatency()
-		s.notify = func(done sim.Time) {
-			shard.PostRemote(hostShard, done+lat, kindClusterNotify, hostCtx, idx, 0)
+		s, err := dev.newMessage(ep.PT, ep.Bits, ep.Packed, ep.Host, arrivals)
+		if err != nil {
+			return ClusterResult{}, fmt.Errorf("nic: endpoint %d: %w", i, err)
 		}
+		idx := int64(i)
+		s.xShard, s.xHost = epShards[i], hostShard
+		s.xCtx, s.xIdx, s.xNotifyLat = hostCtx, idx, ep.Cfg.PCIe.NotifyLatency()
 		sims[i] = s
 
 		// The fabric owns each packet until it is on the endpoint's wire:
@@ -183,38 +189,10 @@ func ReceiveCluster(eps []ClusterEndpoint, workers int) (ClusterResult, error) {
 		}
 		res.Results[i] = r
 	}
+	for _, s := range sims {
+		dev := s.dev
+		releaseRxSim(s)
+		releaseRxDevice(dev)
+	}
 	return res, nil
-}
-
-// ReceiveArrivalsSharded runs one receive on the sharded engine: a
-// single-message batch through ReceiveBatchSharded — the NIC (inbound,
-// HPUs, DMA) is one domain and the host another, joined by the completion
-// notification over the PCIe round trip. The arrival schedule is
-// pre-posted into the NIC domain through the same code path as the serial
-// ReceiveArrivals, so the NIC domain's sequence numbering — and therefore
-// the Result — is byte-identical to the serial engine; the windowed
-// executor only changes when events run, never their order.
-func ReceiveArrivalsSharded(cfg Config, pt *portals.PT, bits portals.MatchBits, packed, host []byte, arrivals []fabric.Arrival) (Result, error) {
-	results, err := ReceiveBatchSharded(cfg, []BatchMessage{{
-		PT: pt, Bits: bits, Packed: packed, Host: host, Arrivals: arrivals,
-	}})
-	if err != nil {
-		return Result{}, err
-	}
-	return results[0], nil
-}
-
-// ReceiveSharded is Receive on the sharded engine (see
-// ReceiveArrivalsSharded).
-func ReceiveSharded(cfg Config, pt *portals.PT, bits portals.MatchBits, packed, host []byte, order []int) (Result, error) {
-	if len(packed) == 0 {
-		return Result{}, errors.New("nic: empty message")
-	}
-	arrivals, err := cfg.Fabric.AppendSchedule(getArrivalBuf(), int64(len(packed)), 0, order)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := ReceiveArrivalsSharded(cfg, pt, bits, packed, host, arrivals)
-	putArrivalBuf(arrivals)
-	return res, err
 }

@@ -59,11 +59,11 @@ func TestClusterDeliversAndMatchesStandalone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := ReceiveArrivals(eps[i].Cfg, pt, 1, packs[i], host, arr)
+		refs, err := recvTopology(eps[i].Cfg, []BatchMessage{{PT: pt, Bits: 1, Packed: packs[i], Host: host, Arrivals: arr}}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.Results[i]
+		ref, got := refs[0], res.Results[i]
 		if got.Done != ref.Done || got.ProcTime != ref.ProcTime || got.HandlerRuns != ref.HandlerRuns ||
 			got.DMA.Writes != ref.DMA.Writes || got.DMA.Bytes != ref.DMA.Bytes {
 			t.Fatalf("endpoint %d: cluster result %+v differs from standalone %+v", i, got, ref)
@@ -135,47 +135,4 @@ func TestClusterPerEndpointTracing(t *testing.T) {
 	if _, err := ReceiveCluster(shared, 2); err == nil {
 		t.Fatal("expected an error for endpoints sharing one Trace")
 	}
-}
-
-// TestReceiveShardedMatchesSerial is the single-receive byte-identity
-// check behind core's engine knob: the sharded engine must reproduce the
-// serial engine's Result exactly, for both the handler and RDMA paths.
-func TestReceiveShardedMatchesSerial(t *testing.T) {
-	const msg = 9*2048 + 311
-	packed := randPacked(msg, 7)
-
-	t.Run("handler", func(t *testing.T) {
-		run := func(rx func(Config, *portals.PT, portals.MatchBits, []byte, []byte, []int) (Result, error)) (Result, []byte) {
-			host := make([]byte, msg)
-			pt := newPT(t, &portals.ME{Match: 3, Ctx: passthroughCtx(700*sim.Nanosecond, spin.Policy{DeltaP: 2})})
-			res, err := rx(DefaultConfig(), pt, 3, packed, host, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res, host
-		}
-		serial, hostA := run(Receive)
-		sharded, hostB := run(ReceiveSharded)
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("sharded result differs:\nserial:  %+v\nsharded: %+v", serial, sharded)
-		}
-		if !bytes.Equal(hostA, hostB) {
-			t.Fatal("host buffers differ")
-		}
-	})
-
-	t.Run("rdma", func(t *testing.T) {
-		run := func(rx func(Config, *portals.PT, portals.MatchBits, []byte, []byte, []int) (Result, error)) Result {
-			host := make([]byte, msg)
-			pt := newPT(t, &portals.ME{Match: 3, Region: portals.HostRegion{Length: msg}})
-			res, err := rx(DefaultConfig(), pt, 3, packed, host, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		if serial, sharded := run(Receive), run(ReceiveSharded); !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("sharded RDMA result differs:\nserial:  %+v\nsharded: %+v", serial, sharded)
-		}
-	})
 }

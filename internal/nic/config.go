@@ -10,31 +10,56 @@
 //     parses packets and runs Portals 4 matching, payload handlers
 //     scattering into host memory through a multi-channel DMA write
 //     engine and a PCIe Gen4 x32 host interface, and the non-processing
-//     RDMA path. Messages of one ReceiveBatch contend for the inbound
-//     parser, the HPUs, the DMA channels, the PCIe link and NIC memory.
+//     RDMA path. An endpoint's receives contend for the inbound parser,
+//     the HPUs, the DMA channels, the PCIe link and NIC memory.
 //   - txDevice (tx.go) is the send side: gather handlers resolving a
 //     packet's contiguous source regions (outbound sPIN), or CPU-paced
 //     pack/streaming pipelines, fetching host data over the PCIe read
 //     path and injecting packets in stream order through the shared wire.
-//     Messages of one SendBatch contend for the HPUs, the host read path,
-//     the injection link and NIC memory.
+//     An endpoint's sends contend for the HPUs, the host read path, the
+//     injection link and NIC memory.
 //
-// A device lives for one residency pass: a batch runs every message
-// against it and reads per-message results after the engine drains. The
-// two halves compose: RunCoupled joins a txDevice and an rxDevice through
-// the fabric (each injection becomes an arrival one wire latency later),
-// and RunExchange shards a cluster of endpoints — each one domain owning
-// both halves — under conservative wire-latency lookahead. It substitutes
-// for the Cray Slingshot SST model + gem5 setup of the paper's Sec. 5.1.
+// # One executor, many topologies
+//
+// RunExchange is the one executor of the model. A run is a topology of
+// endpoints, each one simulation domain owning both device halves, plus a
+// host domain collecting completion notifications over the PCIe round
+// trip. It substitutes for the Cray Slingshot SST model + gem5 setup of the
+// paper's Sec. 5.1. The one-NIC entry points are one-endpoint topologies:
+//
+//   - a receive batch is one endpoint with Recvs (Receive is a batch of
+//     one message);
+//   - a send batch is one endpoint whose Sends have Dst < 0: the sends are
+//     uncoupled, their packets leave into an unmodeled fabric (SendPacked,
+//     SendStreaming and SendProcessPut are batches of one);
+//   - a coupled transfer is one endpoint whose Sends target its own Recvs:
+//     each injection becomes an arrival one wire latency later, so sender
+//     backpressure delays the receiver tick for tick.
+//
+// Exchanges (halo, incast, alltoall) couple sends across endpoints.
+// Two rules make every topology deterministic at any executor width:
+//
+//   - Coupling: a materialized wire stream (TxMessage.Packed) is one
+//     NIC's memory, so it couples only within its own endpoint. Across
+//     endpoints, bytes move as streamed chunks (below) or are pre-staged
+//     in the destination receive.
+//   - Lookahead: an endpoint's lookahead is its PCIe notify latency
+//     toward the host, tightened to its wire latency only when it couples
+//     a send to another endpoint. Same-endpoint and uncoupled sends post
+//     nothing across domains.
+//
+// ReceiveCluster is the one separate runner: its fabric domain paces
+// every wire of a cluster receive and sets the cluster figure's windows;
+// ReceiveIovec models a different device (the Portals 4 iovec engine).
 //
 // # Streamed wire bytes
 //
 // A coupled send moves real bytes in one of two ways, selected per
-// message by the exchange coupling contract (see ExchangeSend):
+// message by the coupling contract (see ExchangeSend):
 //
-//   - Streamed: the send is functional (TxMessage.Src set, a TxProcessPut
-//     gather) and the paired receive is streamed (BatchMessage.Packed
-//     nil). Each packet's wire payload is a pooled MTU-sized chunk the
+//   - Streamed: the send is functional (TxMessage.Src set, Packed nil, a
+//     TxProcessPut gather) and the paired receive leaves BatchMessage.Packed
+//     nil. Each packet's wire payload is a pooled MTU-sized chunk the
 //     gather handler fills on demand from the committed block program; at
 //     injection the chunk moves into the destination receive's per-packet
 //     mailbox — strictly before the arrival event is posted, so the
@@ -42,22 +67,25 @@
 //     receive side scatters it into host memory, then returns the chunk
 //     to the pool. The packed stream is never materialized: wire memory
 //     in flight is bounded by packets in flight, not message size.
-//   - Pre-staged: the send is timing-only (Src nil) and the receive
-//     supplies the full packed stream up front (Packed set). This is the
-//     legacy path; the chunked path is tick-for-tick identical to it
-//     (handler timing depends only on message geometry, never payload),
-//     which TestExchangeStreamedMatchesPreStaged pins down.
+//   - Pre-staged: the receive supplies the full packed stream up front
+//     (Packed set) — either a timing-only send's pre-packed bytes, or,
+//     within one endpoint, the very stream the send fills. The chunked
+//     path is tick-for-tick identical to it (handler timing depends only
+//     on message geometry, never payload), which
+//     TestExchangeStreamedMatchesPreStaged pins down.
 //
 // # Pooling
 //
-// Everything the exchange path cycles through — wire chunks, virtual
-// HPUs, per-message simulation state, whole device halves (DMA engine
-// included), arrival schedules — is pooled and rewound between runs, so
-// a steady-state exchange performs a small, flat number of allocations
-// regardless of traffic volume (TestExchangeSteadyStateAllocBound and
+// Everything a run cycles through — wire chunks, virtual HPUs,
+// per-message simulation state, whole device halves (DMA engine
+// included), arrival schedules, shard queues — is pooled and rewound
+// between runs, so a steady-state run performs a small, flat number of
+// allocations regardless of traffic volume
+// (TestExchangeSteadyStateAllocBound, TestReceiveSteadyStateAllocBound and
 // the bench-gate's B/op / allocs/op tolerances guard this). Only state
 // that escapes into results (per-packet injection times, collected DMA
-// series) is freshly allocated or disowned on reuse.
+// series, one result array per kind) is freshly allocated or disowned on
+// reuse.
 package nic
 
 import (
@@ -75,7 +103,9 @@ type Config struct {
 	HPUs int
 	// Fabric is the link model.
 	Fabric fabric.Config
-	// PCIe is the host interface model.
+	// PCIe is the host interface model. Its ReadLatency doubles as the
+	// notify latency, every endpoint's lookahead toward the host domain,
+	// so it must be positive for every run.
 	PCIe pcie.Config
 	// PCIeWriteLatency is the completion latency of a DMA write once it
 	// leaves the link (the paper's Fig. 2 shows 266 ns on the PCIe

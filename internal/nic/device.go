@@ -79,7 +79,7 @@ type readOp struct {
 // sender-side mirror of writeBuffer): Read performs the functional fetch
 // from the message's host source immediately and records the request for
 // the timing layer. src is rebound per handler run; nil runs timing-only
-// (the functional gather was pre-staged, e.g. for a sharded exchange).
+// (the functional gather was pre-staged).
 type readBuffer struct {
 	ops []readOp
 	src []byte
@@ -350,12 +350,11 @@ func (d *device) handlerFinished(v *vhpu) {
 }
 
 // rxDevice is the per-NIC receive side: the shared device core plus the
-// inbound parser and the DMA write engine toward host memory. A
-// single-message receive owns one device; a batched endpoint flush
-// (ReceiveBatch) runs every posted message against the same device in one
-// residency pass, so concurrent messages contend for the inbound parser,
-// the HPUs, the DMA channels and the PCIe link — and their execution
-// contexts must fit NIC memory together.
+// inbound parser and the DMA write engine toward host memory. Every
+// receive of an endpoint runs against the same device in one residency
+// pass, so concurrent messages contend for the inbound parser, the HPUs,
+// the DMA channels and the PCIe link — and their execution contexts must
+// fit NIC memory together.
 type rxDevice struct {
 	device
 
@@ -364,23 +363,13 @@ type rxDevice struct {
 	mtuCopyTime sim.Time // NICMemCopyTime(MTU), the per-packet staging cost
 }
 
-// newRxDevice builds the shared device state on eng.
-func newRxDevice(eng *sim.Engine, cfg Config) (*rxDevice, error) {
-	d := &rxDevice{}
-	if err := d.initDevice(eng, cfg); err != nil {
-		return nil, err
-	}
-	d.mtuCopyTime = cfg.NICMemCopyTime(cfg.Fabric.MTU)
-	d.dma = newDMAEngine(eng, cfg.PCIe, cfg.Channels(), cfg.DMAChannelOccupancy, cfg.CollectDMASeries)
-	return d, nil
-}
-
 // rxDevPool recycles whole receive devices — the HPU dispatch state, the
-// DMA engine with its channel heap — across exchange runs.
+// DMA engine with its channel heap — across runs.
 var rxDevPool = sync.Pool{New: func() any { return new(rxDevice) }}
 
-// acquireRxDevice is newRxDevice drawing from the device pool: a recycled
-// device is rewound (initDevice) and its DMA engine rebound to eng.
+// acquireRxDevice builds the shared receive state on eng from the device
+// pool: a recycled device is rewound (initDevice) and its DMA engine
+// rebound to eng.
 func acquireRxDevice(eng *sim.Engine, cfg Config) (*rxDevice, error) {
 	d := rxDevPool.Get().(*rxDevice)
 	if err := d.initDevice(eng, cfg); err != nil {
@@ -428,15 +417,10 @@ type rxSim struct {
 
 	vhpus []*vhpu // dense vid -> scheduling unit (message-local)
 
-	// notify, when non-nil, is called once at the completion event with
-	// the message's Done time; the sharded cluster path uses it to mail
-	// the completion to the host domain.
-	notify func(done sim.Time)
-
-	// Exchange wiring, set by RunExchange in place of a notify closure so
-	// a pooled sim carries no per-run allocation: when xHost is non-nil
-	// the completion is additionally mailed from xShard to the host
-	// domain xHost after xNotifyLat, waking slot xIdx of xCtx.
+	// Host wiring, set by the runner in place of a notify closure so a
+	// pooled sim carries no per-run allocation: the completion is mailed
+	// from xShard to the host domain xHost after xNotifyLat, waking slot
+	// xIdx of xCtx.
 	xShard     *sim.Shard
 	xHost      *sim.Shard
 	xCtx       sim.Ctx
@@ -465,28 +449,27 @@ type rxSim struct {
 	err error
 }
 
-// arrivalBufPool recycles arrival-schedule slices across receives.
-var arrivalBufPool sync.Pool
+// arrivalBufPool recycles arrival-schedule buffers across runs. It pools
+// handles, so neither a Get nor a Put allocates once the pool is warm.
+var arrivalBufPool = sync.Pool{New: func() any { return new([]fabric.Arrival) }}
 
-func getArrivalBuf() []fabric.Arrival {
-	if v := arrivalBufPool.Get(); v != nil {
-		return (*v.(*[]fabric.Arrival))[:0]
-	}
-	return nil
+// getArrivalBuf returns a pooled handle to an empty arrival buffer. Store
+// the appended schedule back through the handle before putArrivalBuf, so
+// the pool keeps the grown backing array.
+func getArrivalBuf() *[]fabric.Arrival {
+	buf := arrivalBufPool.Get().(*[]fabric.Arrival)
+	*buf = (*buf)[:0]
+	return buf
 }
 
-func putArrivalBuf(buf []fabric.Arrival) {
-	if cap(buf) == 0 {
-		return
-	}
-	arrivalBufPool.Put(&buf)
-}
+func putArrivalBuf(buf *[]fabric.Arrival) { arrivalBufPool.Put(buf) }
 
 // Receive simulates the arrival and processing of one message: packets are
 // scheduled on the wire, matched through the portal table on the header
 // packet, and either processed by the matched entry's sPIN execution
 // context or delivered through the non-processing RDMA path. order
-// optionally permutes packet delivery (nil = in-order).
+// optionally permutes packet delivery (nil = in-order). It is a receive
+// batch of one message, run by RunExchange.
 //
 // host is the receiver's memory; an ME with a context scatters into it
 // through handler DMA writes, a plain ME lands the packed stream at its
@@ -495,42 +478,13 @@ func Receive(cfg Config, pt *portals.PT, bits portals.MatchBits, packed, host []
 	if len(packed) == 0 {
 		return Result{}, errors.New("nic: empty message")
 	}
-	arrivals, err := cfg.Fabric.AppendSchedule(getArrivalBuf(), int64(len(packed)), 0, order)
+	res, err := RunExchange([]ExchangeEndpoint{{Cfg: cfg, Recvs: []BatchMessage{{
+		PT: pt, Bits: bits, Packed: packed, Host: host, Order: order,
+	}}}}, 1)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := ReceiveArrivals(cfg, pt, bits, packed, host, arrivals)
-	putArrivalBuf(arrivals)
-	return res, err
-}
-
-// ReceiveArrivals is Receive with an explicit packet arrival schedule,
-// allowing a sender-side simulation to pace the receiver (end-to-end
-// transfers). The schedule must deliver the header packet first and the
-// completion packet last.
-func ReceiveArrivals(cfg Config, pt *portals.PT, bits portals.MatchBits, packed, host []byte, arrivals []fabric.Arrival) (Result, error) {
-	eng := sim.Acquire()
-	defer sim.Release(eng)
-	s, err := newRxSim(eng, cfg, pt, bits, packed, host, arrivals)
-	if err != nil {
-		return Result{}, err
-	}
-	s.postArrivals()
-	eng.Run()
-	return s.finish()
-}
-
-// newRxSim validates the receive parameters and builds a fresh device plus
-// one message simulation on eng, without scheduling anything: the caller
-// chooses how packet arrivals reach the engine (postArrivals pre-posts the
-// whole schedule; the sharded cluster path mails them in from a fabric
-// domain).
-func newRxSim(eng *sim.Engine, cfg Config, pt *portals.PT, bits portals.MatchBits, packed, host []byte, arrivals []fabric.Arrival) (*rxSim, error) {
-	dev, err := newRxDevice(eng, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return dev.newMessage(pt, bits, packed, host, arrivals)
+	return res.Recvs[0][0], nil
 }
 
 // rxSimPool recycles per-message receive simulations (with their vHPU
@@ -606,10 +560,8 @@ func (d *rxDevice) addMessage(pt *portals.PT, bits portals.MatchBits, msgBytes i
 	return s, nil
 }
 
-// postArrivals schedules the whole arrival schedule up front (the serial
-// path; the sequence numbering of these posts is part of the engine's
-// determinism contract, so the sharded single-receive path pre-posts
-// through the same code).
+// postArrivals schedules the whole arrival schedule up front, for a
+// receive no send of the run paces.
 func (s *rxSim) postArrivals() {
 	for i := range s.arrivals {
 		s.dev.eng.Post(s.arrivals[i].At, kindRxArrival, s.self, int64(i), 0)
@@ -743,12 +695,7 @@ func (s *rxSim) rdmaDeliver(p fabric.Packet) {
 		done := s.lastWriteDone
 		d.eng.Post(done, kindRxPortalsEvent, s.self, int64(portals.EventPut), 0)
 		s.res.Done = done
-		if s.notify != nil {
-			s.notify(done)
-		}
-		if s.xHost != nil {
-			s.xShard.PostRemote(s.xHost, done+s.xNotifyLat, kindClusterNotify, s.xCtx, s.xIdx, 0)
-		}
+		s.xShard.PostRemote(s.xHost, done+s.xNotifyLat, kindClusterNotify, s.xCtx, s.xIdx, 0)
 	}
 }
 
@@ -873,12 +820,7 @@ func (s *rxSim) finishCompletion(at sim.Time) {
 	s.dev.cfg.Trace.add(TraceEvent{At: at, Kind: TraceCompletion, Pkt: -1, VHPU: -1})
 	s.res.Done = at
 	s.dev.eng.Post(at, kindRxPortalsEvent, s.self, int64(portals.EventHandlerCompletion), 0)
-	if s.notify != nil {
-		s.notify(at)
-	}
-	if s.xHost != nil {
-		s.xShard.PostRemote(s.xHost, at+s.xNotifyLat, kindClusterNotify, s.xCtx, s.xIdx, 0)
-	}
+	s.xShard.PostRemote(s.xHost, at+s.xNotifyLat, kindClusterNotify, s.xCtx, s.xIdx, 0)
 }
 
 // runCompletion executes the completion handler (Sec. 3.2.2): a final

@@ -140,12 +140,12 @@ func TestExchangeSteadyStateAllocBound(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n := testing.AllocsPerRun(30, run)
 	// The bound covers the per-run state that legitimately escapes (test
-	// fixtures, result slices, PacketInjections) with slack; 384 streamed
+	// fixtures, result rows, PacketInjections) with slack; 384 streamed
 	// packets used to cost thousands of allocations in staging buffers
 	// alone, and the run's bookkeeping slices and coupling closures
 	// another ~120 before they moved into the pooled exchangeScratch and
 	// the sims' exchange-wiring fields.
-	if n > 100 {
+	if n > 50 {
 		t.Fatalf("steady-state exchange allocates %v per run", n)
 	}
 }

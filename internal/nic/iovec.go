@@ -113,11 +113,13 @@ func ReceiveIovec(cfg Config, regions []IovecRegion, packed, host []byte) (Resul
 		return Result{}, fmt.Errorf("nic: iovec entries %d", cfg.IovecEntries)
 	}
 
-	arrivals, err := cfg.Fabric.AppendSchedule(getArrivalBuf(), int64(len(packed)), 0, nil)
-	if err != nil {
+	buf := getArrivalBuf()
+	defer putArrivalBuf(buf)
+	var err error
+	if *buf, err = cfg.Fabric.AppendSchedule(*buf, int64(len(packed)), 0, nil); err != nil {
 		return Result{}, err
 	}
-	defer putArrivalBuf(arrivals)
+	arrivals := *buf
 
 	eng := sim.Acquire()
 	defer sim.Release(eng)

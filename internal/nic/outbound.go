@@ -8,7 +8,7 @@ import (
 )
 
 // SendResult reports one sender-side simulation (the three tiles of the
-// paper's Fig. 4), produced by the outbound device model (SendBatch).
+// paper's Fig. 4), produced by the outbound device model.
 type SendResult struct {
 	MsgBytes int64
 	// Injected is when the last bit of the message left the sender NIC.
@@ -36,14 +36,14 @@ func (s SendResult) ThroughputGbps() float64 {
 	return float64(s.MsgBytes) * 8 / s.Injected.Seconds() / 1e9
 }
 
-// sendOne runs a single message through a fresh outbound device — the
-// uncontended baseline the three classic entry points report.
+// sendOne runs a single message as a send batch of one — the uncontended
+// baseline the three classic entry points report.
 func sendOne(cfg Config, m TxMessage) (SendResult, error) {
-	results, err := SendBatch(cfg, []TxMessage{m})
+	res, err := RunExchange([]ExchangeEndpoint{{Cfg: cfg, Sends: []ExchangeSend{{Msg: m, Dst: -1}}}}, 1)
 	if err != nil {
 		return SendResult{}, err
 	}
-	return results[0], nil
+	return res.Sends[0][0], nil
 }
 
 // SendPacked models the classic pack+send (Fig. 4, left): the sender CPU

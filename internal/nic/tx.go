@@ -15,16 +15,17 @@ import (
 // of resident execution contexts — with the data path reversed. Gather
 // handlers resolve a packet's contiguous source regions in host memory and
 // fetch them over the PCIe read path; packets then leave, in stream order,
-// through the shared injection link. A batched send (SendBatch) runs every
-// posted message against ONE device, so concurrent sends contend for the
-// HPUs, the host read path, the wire and NIC memory — exactly the way a
-// batched receive contends on the rxDevice.
+// through the shared injection link. Every send of an endpoint runs against
+// ONE device, so concurrent sends contend for the HPUs, the host read path,
+// the wire and NIC memory — exactly the way a receive batch contends on the
+// rxDevice. A send batch is the topology of one endpoint whose sends are
+// uncoupled (ExchangeSend.Dst < 0), run by RunExchange like every other.
 //
 // The three message kinds are the paper's Fig. 4 tiles. For a single
 // uncontended message each kind reproduces, tick for tick, the server
 // algebra of the original closed-form sender models (SendPacked,
 // SendStreaming, SendProcessPut — now thin wrappers over a one-message
-// batch): the device simulation generalizes them, it does not re-tune
+// send batch): the device simulation generalizes them, it does not re-tune
 // them.
 
 // TxKind selects the sender-side pipeline of one outbound message.
@@ -73,15 +74,10 @@ type TxMessage struct {
 	Ctx *spin.ExecutionContext
 	// Src is the host source buffer the gather reads from; Packed is the
 	// outgoing wire stream the gather fills. Both may be nil to run the
-	// gather timing-only (the functional pack was pre-staged — required
-	// for cross-domain coupling in a sharded exchange).
+	// gather timing-only (the functional pack was pre-staged). See
+	// ExchangeSend for how each combination couples to a receive.
 	Src    []byte
 	Packed []byte
-
-	// Notify, when non-nil, observes each packet's injection completion
-	// in stream order (the fabric coupling hook: a coupled transfer turns
-	// injections into receiver-side arrivals).
-	Notify func(pkt int, injected sim.Time)
 }
 
 // txDevice is the per-NIC send side: the shared device core plus the host
@@ -94,19 +90,11 @@ type txDevice struct {
 	wire     sim.Server // injection link
 }
 
-// newTxDevice builds the shared outbound device state on eng.
-func newTxDevice(eng *sim.Engine, cfg Config) (*txDevice, error) {
-	d := &txDevice{}
-	if err := d.initDevice(eng, cfg); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// txDevPool recycles whole send devices across exchange runs.
+// txDevPool recycles whole send devices across runs.
 var txDevPool = sync.Pool{New: func() any { return new(txDevice) }}
 
-// acquireTxDevice is newTxDevice drawing from the device pool.
+// acquireTxDevice builds the shared outbound device state on eng from the
+// device pool.
 func acquireTxDevice(eng *sim.Engine, cfg Config) (*txDevice, error) {
 	d := txDevPool.Get().(*txDevice)
 	if err := d.initDevice(eng, cfg); err != nil {
@@ -151,17 +139,12 @@ type txSim struct {
 
 	vhpus []*vhpu
 
-	notify func(pkt int, injected sim.Time)
-	// notifyDone, when non-nil, is called once at the last injection; the
-	// sharded path uses it to mail the completion to the host domain.
-	notifyDone func(at sim.Time)
-
-	// Exchange coupling, set by RunExchange in place of a per-send
-	// closure so a pooled sim carries no per-run allocation: when xDstRx
-	// is non-nil every injected packet is mailed from xShard to the
-	// destination domain xDstShard one xWire later; functional sends
-	// (xStream) hand the packet's pooled chunk into the destination
-	// mailbox strictly before the arrival post.
+	// Coupling, set by RunExchange in place of a per-send closure so a
+	// pooled sim carries no per-run allocation: when xDstRx is non-nil
+	// every injected packet is mailed from xShard to the destination
+	// domain xDstShard one xWire later; streamed sends (xStream) hand the
+	// packet's pooled chunk into the destination mailbox strictly before
+	// the arrival post.
 	xDstRx    *rxSim
 	xShard    *sim.Shard
 	xDstShard *sim.Shard
@@ -256,7 +239,6 @@ func (d *txDevice) newMessage(m *TxMessage) (*txSim, error) {
 	s.src = m.Src
 	s.packed = m.Packed
 	s.npkt = npkt
-	s.notify = m.Notify
 	s.res.MsgBytes = m.MsgBytes
 	s.left = npkt
 	for len(s.ready) < npkt {
@@ -447,9 +429,6 @@ func (s *txSim) injected(pkt int) {
 		return
 	}
 	now := s.dev.eng.Now()
-	if s.notify != nil {
-		s.notify(pkt, now)
-	}
 	if s.xDstRx != nil {
 		at := now + s.xWire
 		if s.xStream {
@@ -463,9 +442,6 @@ func (s *txSim) injected(pkt int) {
 	s.left--
 	if s.left == 0 {
 		s.res.Injected = now
-		if s.notifyDone != nil {
-			s.notifyDone(now)
-		}
 	}
 }
 
@@ -475,117 +451,6 @@ func (s *txSim) finish() (SendResult, error) {
 		return SendResult{}, s.err
 	}
 	return s.res, nil
-}
-
-// SendBatch simulates the transmission of many messages from ONE NIC in a
-// single residency pass: all messages share the device's HPU pool, the
-// PCIe read path toward host memory and the injection link, and their
-// gather contexts must fit NIC memory together. This is the traffic an
-// endpoint's send side carries during a real exchange (alltoall, halo):
-// two senders sharing the outbound device are measurably slower than one.
-//
-// Results are per message, in input order. A single message reproduces
-// exactly what the classic closed-form sender models report.
-func SendBatch(cfg Config, msgs []TxMessage) ([]SendResult, error) {
-	if len(msgs) == 0 {
-		return nil, errors.New("nic: empty batch")
-	}
-	eng := sim.Acquire()
-	defer sim.Release(eng)
-	dev, sims, err := newTxBatch(eng, cfg, msgs)
-	if err != nil {
-		return nil, err
-	}
-	eng.Run()
-	results, err := finishTxBatch(sims)
-	if err != nil {
-		return nil, err
-	}
-	releaseTxBatch(dev, sims)
-	return results, nil
-}
-
-// SendBatchSharded is SendBatch on the sharded engine: the NIC device is
-// one domain and the host another, joined by the injection-complete
-// notifications over the PCIe round trip. Per-message results are
-// byte-identical to the serial executor.
-func SendBatchSharded(cfg Config, msgs []TxMessage) ([]SendResult, error) {
-	if len(msgs) == 0 {
-		return nil, errors.New("nic: empty batch")
-	}
-	notifyLat := cfg.PCIe.NotifyLatency()
-	if notifyLat <= 0 {
-		return nil, fmt.Errorf("nic: PCIe notify latency %v cannot synchronize a sharded send", notifyLat)
-	}
-	pe := sim.AcquireParallel(1)
-	defer sim.ReleaseParallel(pe)
-	dev := pe.NewShard("nic", notifyLat)
-	hostShard := pe.NewShard("host", sim.InfiniteLookahead)
-	h := &clusterHost{shard: hostShard, notified: make([]sim.Time, len(msgs))}
-	hostCtx := hostShard.Bind(h)
-
-	txDev, sims, err := newTxBatch(&dev.Engine, cfg, msgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range sims {
-		idx := int64(i)
-		s.notifyDone = func(at sim.Time) {
-			dev.PostRemote(hostShard, at+notifyLat, kindClusterNotify, hostCtx, idx, 0)
-		}
-	}
-	pe.Run()
-	results, err := finishTxBatch(sims)
-	if err != nil {
-		return nil, err
-	}
-	releaseTxBatch(txDev, sims)
-	return results, nil
-}
-
-// newTxBatch builds one shared device plus a message simulation per batch
-// entry on eng and pre-posts every launch schedule. The device is drawn
-// from the pool; a successful batch hands it back via releaseTxBatch.
-func newTxBatch(eng *sim.Engine, cfg Config, msgs []TxMessage) (*txDevice, []*txSim, error) {
-	dev, err := acquireTxDevice(eng, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	sims := make([]*txSim, len(msgs))
-	for i := range msgs {
-		s, err := dev.newMessage(&msgs[i])
-		if err != nil {
-			return nil, nil, fmt.Errorf("nic: batch message %d: %w", i, err)
-		}
-		sims[i] = s
-	}
-	for i := range sims {
-		sims[i].postLaunch(&msgs[i])
-	}
-	return dev, sims, nil
-}
-
-// releaseTxBatch returns a drained batch's message simulations and shared
-// device to their pools. Callers must have extracted every SendResult
-// (finishTxBatch) first.
-func releaseTxBatch(dev *txDevice, sims []*txSim) {
-	for _, s := range sims {
-		releaseTxSim(s)
-	}
-	releaseTxDevice(dev)
-}
-
-// finishTxBatch assembles the per-message results after the engine drained.
-func finishTxBatch(sims []*txSim) ([]SendResult, error) {
-	results := make([]SendResult, len(sims))
-	for i, s := range sims {
-		r, err := s.finish()
-		if err != nil {
-			return nil, fmt.Errorf("nic: batch message %d: %w", i, err)
-		}
-		results[i] = r
-	}
-	return results, nil
 }
 
 // StreamingSchedule computes the per-packet CPU announce times of a

@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"spinddt/internal/fabric"
@@ -29,11 +31,11 @@ func TestSendBatchContention(t *testing.T) {
 	mk := func() TxMessage {
 		return TxMessage{Kind: TxProcessPut, MsgBytes: msg, Ctx: gatherCtx(500 * sim.Nanosecond)}
 	}
-	solo, err := SendBatch(cfg, []TxMessage{mk()})
+	solo, err := sendTopology(cfg, []TxMessage{mk()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := SendBatch(cfg, []TxMessage{mk(), mk()})
+	both, err := sendTopology(cfg, []TxMessage{mk(), mk()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +76,14 @@ func TestSendBatchDisjointMatchesSolo(t *testing.T) {
 	cfg := DefaultConfig()
 	msg := int64(256 << 10)
 	const gap = 10 * sim.Millisecond
-	solo, err := SendBatch(cfg, []TxMessage{{Kind: TxProcessPut, MsgBytes: msg, Ctx: gatherCtx(500 * sim.Nanosecond)}})
+	solo, err := sendTopology(cfg, []TxMessage{{Kind: TxProcessPut, MsgBytes: msg, Ctx: gatherCtx(500 * sim.Nanosecond)}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := SendBatch(cfg, []TxMessage{
+	batch, err := sendTopology(cfg, []TxMessage{
 		{Kind: TxProcessPut, MsgBytes: msg, Ctx: gatherCtx(500 * sim.Nanosecond)},
 		{Kind: TxProcessPut, MsgBytes: msg, Ctx: gatherCtx(500 * sim.Nanosecond), Start: gap},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,49 +95,24 @@ func TestSendBatchDisjointMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestSendBatchShardedIdentical pins the sharded executor's determinism
-// contract on the send side.
-func TestSendBatchShardedIdentical(t *testing.T) {
-	cfg := DefaultConfig()
-	msgs := func() []TxMessage {
-		return []TxMessage{
-			{Kind: TxProcessPut, MsgBytes: 1 << 20, Ctx: gatherCtx(700 * sim.Nanosecond)},
-			{Kind: TxPacked, MsgBytes: 512 << 10, PackTime: 20 * sim.Microsecond, Start: sim.Microsecond},
-		}
-	}
-	serial, err := SendBatch(cfg, msgs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := SendBatchSharded(cfg, msgs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i].Injected != sharded[i].Injected || serial[i].HPUBusy != sharded[i].HPUBusy {
-			t.Fatalf("message %d: serial %+v sharded %+v", i, serial[i], sharded[i])
-		}
-	}
-}
-
 // TestSendBatchNICMemory: gather contexts of a batch must fit NIC memory
 // together; one shared context is counted once.
 func TestSendBatchNICMemory(t *testing.T) {
 	cfg := DefaultConfig()
 	big := gatherCtx(100 * sim.Nanosecond)
 	big.NICMemBytes = cfg.NICMemBytes/2 + 1
-	if _, err := SendBatch(cfg, []TxMessage{
+	if _, err := sendTopology(cfg, []TxMessage{
 		{Kind: TxProcessPut, MsgBytes: 4096, Ctx: big},
 		{Kind: TxProcessPut, MsgBytes: 4096, Ctx: big},
-	}); err != nil {
+	}, 1); err != nil {
 		t.Fatalf("one shared context must be counted once: %v", err)
 	}
 	other := gatherCtx(100 * sim.Nanosecond)
 	other.NICMemBytes = cfg.NICMemBytes/2 + 1
-	if _, err := SendBatch(cfg, []TxMessage{
+	if _, err := sendTopology(cfg, []TxMessage{
 		{Kind: TxProcessPut, MsgBytes: 4096, Ctx: big},
 		{Kind: TxProcessPut, MsgBytes: 4096, Ctx: other},
-	}); err == nil {
+	}, 1); err == nil {
 		t.Fatal("two over-half contexts fit NIC memory together")
 	}
 }
@@ -154,10 +131,9 @@ func rdmaPT(length int64) (*portals.PT, error) {
 }
 
 // TestRunCoupledMatchesDecoupled: for a single transfer, coupling the tx
-// and rx devices in one engine must reproduce exactly the two-stage
+// and rx devices in one endpoint must reproduce exactly the two-stage
 // composition (send, then receive with arrivals = injections + wire) —
-// the coupled architecture generalizes the pipeline, it does not re-tune
-// it.
+// the coupled topology generalizes the pipeline, it does not re-tune it.
 func TestRunCoupledMatchesDecoupled(t *testing.T) {
 	cfg := DefaultConfig()
 	msg := int64(512 << 10)
@@ -183,20 +159,20 @@ func TestRunCoupledMatchesDecoupled(t *testing.T) {
 		t.Fatal(err)
 	}
 	hostA := make([]byte, msg)
-	recvRes, err := ReceiveArrivals(cfg, pt, 1, packed, hostA, arrivals)
+	decoupled, err := recvTopology(cfg, []BatchMessage{{PT: pt, Bits: 1, Packed: packed, Host: hostA, Arrivals: arrivals}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recvRes := decoupled[0]
 
 	pt2, err := rdmaPT(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hostB := make([]byte, msg)
-	sends, recvs, err := RunCoupled(cfg, cfg, []CoupledMessage{{
-		Tx: TxMessage{Kind: TxPacked, MsgBytes: msg, PackTime: 30 * sim.Microsecond},
-		Rx: BatchMessage{PT: pt2, Bits: 1, Packed: packed, Host: hostB},
-	}})
+	sends, recvs, err := coupledTopology(cfg,
+		[]TxMessage{{Kind: TxPacked, MsgBytes: msg, PackTime: 30 * sim.Microsecond}},
+		[]BatchMessage{{PT: pt2, Bits: 1, Packed: packed, Host: hostB}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,34 +186,6 @@ func TestRunCoupledMatchesDecoupled(t *testing.T) {
 		if hostA[i] != hostB[i] {
 			t.Fatalf("buffers differ at %d", i)
 		}
-	}
-}
-
-// TestRunCoupledShardedIdentical: the coupled transfer renders identically
-// on the sharded engine.
-func TestRunCoupledShardedIdentical(t *testing.T) {
-	cfg := DefaultConfig()
-	msg := int64(256 << 10)
-	packed := make([]byte, msg)
-	run := func(f func(Config, Config, []CoupledMessage) ([]SendResult, []Result, error)) (SendResult, Result) {
-		pt, err := rdmaPT(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		host := make([]byte, msg)
-		sends, recvs, err := f(cfg, cfg, []CoupledMessage{{
-			Tx: TxMessage{Kind: TxProcessPut, MsgBytes: msg, Ctx: gatherCtx(400 * sim.Nanosecond)},
-			Rx: BatchMessage{PT: pt, Bits: 1, Packed: packed, Host: host},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sends[0], recvs[0]
-	}
-	ss, sr := run(RunCoupled)
-	ps, pr := run(RunCoupledSharded)
-	if ss.Injected != ps.Injected || sr.Done != pr.Done || sr.FirstByte != pr.FirstByte {
-		t.Fatalf("serial (%v, %+v) != sharded (%v, %+v)", ss.Injected, sr, ps.Injected, pr)
 	}
 }
 
@@ -301,11 +249,12 @@ func TestRunExchangeDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunExchangeCouplingValidation pins the coupling contract: a send
-// cannot carry a materialized wire stream, a functional send cannot feed a
-// pre-staged receive (the two would alias the same bytes), and a coupled
-// receive with neither a functional sender nor a pre-staged stream has no
-// wire bytes to scatter.
+// TestRunExchangeCouplingValidation pins the coupling contract: a
+// materialized wire stream couples only within its own endpoint, a
+// streamed send cannot feed a pre-staged receive (the two would alias the
+// same bytes), and a coupled receive with neither a streamed sender nor a
+// pre-staged stream has no wire bytes to scatter. Uncoupled sends and
+// same-endpoint materialized couplings are the one-NIC topologies and run.
 func TestRunExchangeCouplingValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	build := func(src, sndPacked, rcvPacked []byte) []ExchangeEndpoint {
@@ -330,5 +279,48 @@ func TestRunExchangeCouplingValidation(t *testing.T) {
 	}
 	if _, err := RunExchange(build(nil, nil, nil), 1); err == nil {
 		t.Fatal("coupled receive with no wire bytes accepted")
+	}
+
+	uncoupled := build(nil, buf, buf)
+	uncoupled[1].Sends[0].Dst = -1
+	res, err := RunExchange(uncoupled, 1)
+	if err != nil {
+		t.Fatalf("uncoupled send rejected: %v", err)
+	}
+	if res.Sends[1][0].Injected <= 0 || res.Recvs[0][0].Done <= 0 {
+		t.Fatalf("uncoupled run did not complete: %+v", res)
+	}
+
+	// A same-endpoint materialized coupling: the gather fills the stream
+	// the endpoint's own receive aliases.
+	local := func() ([]ExchangeEndpoint, []byte) {
+		src := randPacked(4096, 5)
+		wire := make([]byte, 4096)
+		pt, err := rdmaPT(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host := make([]byte, 4096)
+		return []ExchangeEndpoint{{
+			Cfg:   cfg,
+			Recvs: []BatchMessage{{PT: pt, Bits: 1, Packed: wire, Host: host}},
+			Sends: []ExchangeSend{{
+				Msg: TxMessage{Kind: TxProcessPut, MsgBytes: 4096, Ctx: copyGatherCtx(100), Src: src, Packed: wire},
+				Dst: 0, DstRecv: 0,
+			}},
+		}}, src
+	}
+	var runs [2]ExchangeResult
+	for i, workers := range []int{1, 4} {
+		eps, src := local()
+		if runs[i], err = RunExchange(eps, workers); err != nil {
+			t.Fatalf("workers=%d: same-endpoint materialized send rejected: %v", workers, err)
+		}
+		if !bytes.Equal(eps[0].Recvs[0].Host, src) {
+			t.Fatalf("workers=%d: delivered bytes differ from the gathered source", workers)
+		}
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("same-endpoint coupling differs across executor widths:\n1: %+v\n4: %+v", runs[0], runs[1])
 	}
 }

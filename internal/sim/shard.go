@@ -58,8 +58,8 @@ func (s *Shard) PostRemote(dst *Shard, t Time, k Kind, c Ctx, a, b int64) {
 		return
 	}
 	if t < s.parent.horizon {
-		panic(fmt.Sprintf("sim: shard %q posts to %q at %v inside the current window (horizon %v, lookahead %v): lookahead violation",
-			s.name, dst.name, t, s.parent.horizon, s.lookahead))
+		panic(fmt.Sprintf("sim: shard %q #%d posts to %q #%d at %v inside the current window (horizon %v, lookahead %v): lookahead violation",
+			s.name, s.id, dst.name, dst.id, t, s.parent.horizon, s.lookahead))
 	}
 	s.outbox[dst.id] = append(s.outbox[dst.id], xmsg{at: t, kind: k, ctx: c, a: a, b: b})
 }
@@ -80,6 +80,15 @@ type ParallelEngine struct {
 	windows uint64
 	scratch []xmsg
 	aux     []xmsg // merge buffer of sortXmsgs, reused across windows
+
+	// The parallel executor of one Run: helper goroutines park on kick
+	// between windows, claim shards through next and check in on done,
+	// so a window costs no goroutine spawn and no allocation; exited
+	// counts them out when the run ends.
+	kick   chan struct{}
+	next   atomic.Int64
+	done   sync.WaitGroup
+	exited sync.WaitGroup
 }
 
 // NewParallel returns an empty sharded simulation executed by up to
@@ -97,9 +106,8 @@ func NewParallel(workers int) *ParallelEngine {
 // parallelPool recycles ParallelEngines together with their Shard storage
 // (each shard's calendar queue, context table and outbox rows), the
 // sharded-engine counterpart of enginePool: a steady stream of sharded
-// simulations — `-engine sharded` figure sweeps run one per message —
-// stops re-allocating per-shard queue storage once the pooled engines have
-// warmed up.
+// simulations — every one-NIC run is one — stops re-allocating per-shard
+// queue storage once the pooled engines have warmed up.
 var parallelPool = sync.Pool{New: func() any { return &ParallelEngine{} }}
 
 // AcquireParallel returns an empty pooled sharded simulation with the
@@ -116,12 +124,15 @@ func AcquireParallel(workers int) *ParallelEngine {
 
 // ReleaseParallel resets the engine and returns it (with its shard
 // storage) to the pool. The caller must not use the engine, its shards or
-// anything bound in their context tables afterwards.
+// anything bound in their context tables afterwards. The spare stack is
+// pushed in reverse, so the next run's shard i reuses this run's shard i
+// and its queue storage stays warm for the same role.
 func ReleaseParallel(p *ParallelEngine) {
-	for _, s := range p.shards {
+	for i := len(p.shards) - 1; i >= 0; i-- {
+		s := p.shards[i]
 		s.Reset()
-		for i := range s.outbox {
-			s.outbox[i] = s.outbox[i][:0]
+		for j := range s.outbox {
+			s.outbox[j] = s.outbox[j][:0]
 		}
 		p.spare = append(p.spare, s)
 	}
@@ -291,6 +302,14 @@ func (p *ParallelEngine) lbts() (Time, bool) {
 // Run executes the sharded simulation to completion and returns the
 // makespan: the latest timestamp any shard fired an event at.
 func (p *ParallelEngine) Run() Time {
+	if helpers := p.helpers(); helpers > 0 {
+		p.kick = make(chan struct{})
+		p.exited.Add(helpers)
+		for range helpers {
+			go p.help(p.kick)
+		}
+		defer p.stopHelpers()
+	}
 	for {
 		p.flush()
 		horizon, ok := p.lbts()
@@ -299,7 +318,7 @@ func (p *ParallelEngine) Run() Time {
 		}
 		p.horizon = horizon
 		p.windows++
-		p.runWindow(horizon)
+		p.runWindow()
 	}
 	var makespan Time
 	for _, s := range p.shards {
@@ -310,35 +329,54 @@ func (p *ParallelEngine) Run() Time {
 	return makespan
 }
 
+// helpers returns how many goroutines assist the calling one: one fewer
+// than the executor width, which never exceeds the shard count.
+func (p *ParallelEngine) helpers() int { return min(p.workers, len(p.shards)) - 1 }
+
+// help is a helper goroutine's loop: each kick runs one window's share.
+func (p *ParallelEngine) help(kick <-chan struct{}) {
+	defer p.exited.Done()
+	for range kick {
+		p.claim()
+		p.done.Done()
+	}
+}
+
+// stopHelpers ends the run's helpers and returns once all have exited.
+func (p *ParallelEngine) stopHelpers() {
+	close(p.kick)
+	p.kick = nil
+	p.exited.Wait()
+}
+
+// claim runs the current window's shards until none is left unclaimed.
+func (p *ParallelEngine) claim() {
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= len(p.shards) {
+			return
+		}
+		p.shards[i].runBefore(p.horizon)
+	}
+}
+
 // runWindow fires, in every shard, the local events with timestamps
-// strictly below horizon. Shards share no mutable state (outbox rows are
-// written only by their owner), so the executor is free to run them on any
-// worker in any order; the result is identical to the serial executor.
-func (p *ParallelEngine) runWindow(horizon Time) {
-	if p.workers <= 1 || len(p.shards) <= 1 {
+// strictly below the horizon. Shards share no mutable state (outbox rows
+// are written only by their owner), so the executor is free to run them on
+// any worker in any order; the result is identical to the serial executor.
+func (p *ParallelEngine) runWindow() {
+	if p.kick == nil {
 		for _, s := range p.shards {
-			s.runBefore(horizon)
+			s.runBefore(p.horizon)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := p.workers
-	if workers > len(p.shards) {
-		workers = len(p.shards)
+	helpers := p.helpers()
+	p.next.Store(0)
+	p.done.Add(helpers)
+	for range helpers {
+		p.kick <- struct{}{}
 	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(p.shards) {
-					return
-				}
-				p.shards[i].runBefore(horizon)
-			}
-		}()
-	}
-	wg.Wait()
+	p.claim()
+	p.done.Wait()
 }
