@@ -9,6 +9,7 @@ package spinddt_test
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"sync"
@@ -231,6 +232,52 @@ func BenchmarkDDTPackUnpack(b *testing.B) {
 		if err := ddt.Unpack(typ, 1, packed, dst); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDDTForEachBlock measures the region replay every host cost
+// model and list build runs (Type.ForEachBlock), per replay shape: many
+// small elements whose boundaries do not fuse, the same elements fusing,
+// one large element, and the served-path mix — the first 64 random types a
+// seeded serve-churn pool draws, each at its 8 KiB count.
+func BenchmarkDDTForEachBlock(b *testing.B) {
+	elem := ddt.MustIndexed([]int{3, 1, 7, 2}, []int{0, 5, 9, 20}, ddt.Double)
+	type shape struct {
+		typ   *ddt.Type
+		count int
+	}
+	rng := rand.New(rand.NewSource(1))
+	var churn []shape
+	for len(churn) < 64 {
+		t := ddt.RandomType(rng, 4).Commit()
+		count := max(1, 8192/int(t.Size()))
+		if lo, hi := t.Footprint(count); lo >= 0 && hi <= 256<<10 {
+			churn = append(churn, shape{t, count})
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		shapes []shape
+	}{
+		{"unfused", []shape{{ddt.MustResized(elem, 0, 192), 256}}},
+		{"fused", []shape{{elem, 256}}},
+		{"count1", []shape{{ddt.MustVector(4096, 16, 32, ddt.Int), 1}}},
+		{"churn", churn},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var blocks, bytes int64
+			fn := func(off, size int64) { blocks++; bytes += size }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, s := range c.shapes {
+					s.typ.ForEachBlock(s.count, fn)
+				}
+			}
+			if blocks == 0 || bytes == 0 {
+				b.Fatal("no regions")
+			}
+		})
 	}
 }
 

@@ -36,7 +36,7 @@ func main() {
 	}
 
 	// The session API is what an MPI library would hold: commit the type
-	// once — the block program and offload state are built exactly once —
+	// once — the plan and offload state are built exactly once —
 	// then post receives against the handle. The first post pays the host
 	// preparation; every later one reports zero (the paper's Fig. 18).
 	sess := spinddt.NewSession(spinddt.NewSessionConfig())

@@ -22,12 +22,12 @@ type BackendEnv struct {
 }
 
 // BackendMessage is one posted message in the backend exchange format. The
-// contract is the committed datatype's compiled block program: Type/Count
-// define the scatter layout (ddt compiles it at commit; ForEachBlock and
-// Unpack replay it), Packed is the wire stream and Dst the destination
-// buffer. Simulated backends additionally receive the portal-table entry
-// whose execution context holds the offload state built at commit time;
-// host backends execute the block program directly.
+// contract is the committed datatype's plan: Type/Count define the scatter
+// layout (ddt lowers its region program at commit; ForEachBlock and Unpack
+// replay it), Packed is the wire stream and Dst the destination buffer.
+// Simulated backends additionally receive the portal-table entry whose
+// execution context holds the offload state built at commit time; host
+// backends execute the plan directly.
 type BackendMessage struct {
 	Type  *ddt.Type
 	Count int
@@ -51,8 +51,8 @@ type BackendMessage struct {
 }
 
 // BackendSend is one posted send in the backend exchange format: the
-// committed datatype (whose compiled block program defines the gather
-// layout), the host source image, and the fully-prepared device message.
+// committed datatype (whose plan defines the gather layout), the host
+// source image, and the fully-prepared device message.
 // Msg.Packed is the outgoing wire stream; for non-gathered kinds
 // (TxPacked, TxStreaming) the backend performs the functional pack itself
 // before the timing pass, for TxProcessPut the gather handlers fill it.
@@ -73,7 +73,7 @@ type BackendTransfer struct {
 
 // Backend executes the data movement of posted messages. SimBackend — the
 // default — replays each message through the simulated sPIN NIC; other
-// backends may execute the same block programs against real resources
+// backends may execute the same committed plans against real resources
 // (host memory today; iovec lists or kernel-bypass paths tomorrow). All
 // backends must land byte-identical buffer contents — the differential
 // tests hold receives to the reference ddt.Unpack and sends to the
@@ -188,7 +188,7 @@ func (SimBackend) Transfer(env BackendEnv, xfers []BackendTransfer) ([]nic.SendR
 
 // MemBackend executes messages directly on host memory: each posted
 // message's packed stream is scattered into its destination buffer by
-// replaying the committed type's compiled block program on the CPU — no
+// replaying the committed type's region program on the CPU — no
 // NIC model involved. It is the first non-simulated backend and the
 // differential-testing oracle for SimBackend: both must produce identical
 // buffers. Reported times come from the host CPU cost model (an unpack of
@@ -198,7 +198,7 @@ type MemBackend struct{}
 // Name implements Backend.
 func (MemBackend) Name() string { return "mem" }
 
-// Flush implements Backend by executing the block programs on the CPU.
+// Flush implements Backend by unpacking every message on the CPU.
 func (MemBackend) Flush(env BackendEnv, msgs []BackendMessage) ([]nic.Result, error) {
 	results := make([]nic.Result, len(msgs))
 	for i := range msgs {
@@ -245,7 +245,7 @@ func memSend(env BackendEnv, s *BackendSend, i int) (nic.SendResult, error) {
 }
 
 // FlushSends implements Backend by packing on the CPU: every send is a
-// reference ddt.Pack of the committed block program — the differential
+// reference ddt.Pack of the committed type — the differential
 // oracle for the simulated gather handlers.
 func (MemBackend) FlushSends(env BackendEnv, sends []BackendSend) ([]nic.SendResult, error) {
 	results := make([]nic.SendResult, len(sends))
@@ -303,7 +303,7 @@ func (MemBackend) Iovec(env BackendEnv, regions []nic.IovecRegion, packed, dst [
 	}
 	var pos int64
 	for _, r := range regions {
-		copy(dst[r.HostOff:r.HostOff+r.Size], packed[pos:pos+r.Size])
+		copy(dst[r.Offset:r.Offset+r.Size], packed[pos:pos+r.Size])
 		pos += r.Size
 	}
 	cost := hostcpu.CopyCost(env.Host, pos) + hostcpu.WalkCost(env.Host, int64(len(regions)))

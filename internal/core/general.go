@@ -21,7 +21,7 @@ func (e *emitState) init() {
 	e.emit = func(memOff, streamOff, size int64) {
 		a := e.cur
 		rel := streamOff - a.StreamOff
-		a.DMA.Write(memOff, a.Payload[rel:rel+size], spin.NoEvent)
+		a.DMA.Write(memOff, a.Payload[rel:rel+size])
 	}
 }
 

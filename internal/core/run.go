@@ -166,7 +166,7 @@ func (s *Session) Run(req Request) (Result, error) {
 		res.TrafficBytes = msgSize + cost.TrafficBytes
 
 	case PortalsIovec:
-		regions := iovecRegions(typ, req.Count)
+		regions := typ.Flatten(req.Count)
 		if req.Order != nil {
 			return Result{}, fmt.Errorf("core: the iovec baseline assumes in-order delivery")
 		}
@@ -241,7 +241,7 @@ func releaseRecvBuf(typ *ddt.Type, count int, dstBuf *[]byte) {
 
 // verifyReference checks the receive buffer byte-for-byte against the
 // reference unpack of the packed stream: a zeroed buffer with the stream
-// scattered through the datatype's compiled block program.
+// scattered through the datatype's region program.
 //
 // For monotone, non-overlapping typemaps (every valid receive datatype) the
 // comparison runs in place: each region must equal its slice of the packed

@@ -107,7 +107,7 @@ func (b *txBuild) prep() HostPrep {
 // puts (the region list drives the announcements), and every offloaded
 // strategy to the NIC-side gather — the sPIN offload is symmetric, so a
 // handle committed for an offloaded receive sends through the same
-// committed block program.
+// committed layout.
 func (h *TypeHandle) buildTx(count int) (*txBuild, error) {
 	h.mu.Lock()
 	if h.freed {
@@ -132,7 +132,7 @@ func (h *TypeHandle) buildTx(count int) (*txBuild, error) {
 			b.packTime = hostcpu.PackCost(sess.cfg.Host, typ, count).Time
 		case PortalsIovec:
 			b.kind = nic.TxStreaming
-			regions := iovecRegions(typ, count)
+			regions := typ.Flatten(count)
 			b.ready, b.cpu, _, b.err = nic.StreamingSchedule(sess.cfg.NIC, regions, sess.cfg.Host.InterpPerBlock)
 			b.regions = int64(len(regions))
 		default:

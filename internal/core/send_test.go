@@ -65,6 +65,44 @@ func TestEndpointSendPrepAmortization(t *testing.T) {
 	}
 }
 
+// TestRunSendMatchesEndpointSend: the one-shot outbound-sPIN model charges
+// each packet exactly what the gather handler of Endpoint.Send charges for
+// the same layout — binary-search steps of the list resolver included.
+func TestRunSendMatchesEndpointSend(t *testing.T) {
+	cases := []struct {
+		name  string
+		typ   *ddt.Type
+		count int
+	}{
+		{"list", ddt.MustIndexed([]int{3, 1, 7, 2}, []int{0, 5, 9, 20}, ddt.Double), 64},
+		{"list-long", ddt.MustIndexed([]int{3, 1, 7, 2, 5, 1}, []int{0, 5, 9, 20, 30, 40}, ddt.Double), 200},
+		{"vector", ddt.MustVector(300, 5, 9, ddt.Double), 4},
+	}
+	for _, c := range cases {
+		one, err := RunSend(NewSendRequest(OutboundSpin, c.typ, c.count))
+		if err != nil {
+			t.Fatalf("%s: RunSend: %v", c.name, err)
+		}
+		sess := NewSession(NewSessionConfig())
+		h, err := sess.CommitAs(c.typ, Specialized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := sess.Endpoint(EndpointConfig{}).Send(h, c.count, SendOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := f.Wait()
+		if err != nil {
+			t.Fatalf("%s: Endpoint.Send: %v", c.name, err)
+		}
+		if one.HPUBusy != rep.NIC.HPUBusy || one.HandlerRuns != rep.NIC.HandlerRuns {
+			t.Errorf("%s: RunSend HPUBusy %v over %d runs, Endpoint.Send %v over %d runs",
+				c.name, one.HPUBusy, one.HandlerRuns, rep.NIC.HPUBusy, rep.NIC.HandlerRuns)
+		}
+	}
+}
+
 // TestEndpointSendAllStrategies: every commit strategy maps to a working
 // sender pipeline (offloaded -> NIC gather, HostUnpack -> CPU pack,
 // PortalsIovec -> streaming puts) and produces a verified wire stream on

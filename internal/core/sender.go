@@ -6,7 +6,6 @@ import (
 	"spinddt/internal/ddt"
 	"spinddt/internal/hostcpu"
 	"spinddt/internal/nic"
-	"spinddt/internal/sim"
 )
 
 // SendStrategy selects a sender-side implementation (the paper's Fig. 4).
@@ -78,39 +77,14 @@ func (s *Session) RunSend(req SendRequest) (nic.SendResult, error) {
 		return nic.SendPacked(req.NIC, msgSize, pack.Time)
 
 	case StreamingPuts:
-		return nic.SendStreaming(req.NIC, iovecRegions(typ, req.Count), req.Host.InterpPerBlock)
+		return nic.SendStreaming(req.NIC, typ.Flatten(req.Count), req.Host.InterpPerBlock)
 
 	case OutboundSpin:
-		// Per-packet gather handler: like the receive-side specialized
-		// handler, it resolves the packet's source regions and issues the
-		// streaming-put commands.
-		perPkt := perPacketRegions(typ, req.Count, req.NIC.Fabric.MTU)
-		return nic.SendProcessPut(req.NIC, msgSize, func(pkt int, bytes int64) sim.Time {
-			blocks := int64(1)
-			if pkt < len(perPkt) {
-				blocks = perPkt[pkt]
-			}
-			return req.Cost.SpecInit + times(blocks, req.Cost.SpecPerBlock)
-		})
+		// Run the gather handler Endpoint.Send installs for the layout.
+		gather := s.caches.specialized(req.Cost, typ, req.Count, false).gather
+		return nic.SendProcessPut(req.NIC, msgSize, gather)
 
 	default:
 		return nic.SendResult{}, fmt.Errorf("core: unknown send strategy %v", req.Strategy)
 	}
-}
-
-// perPacketRegions counts the contiguous regions intersecting each packet.
-func perPacketRegions(typ *ddt.Type, count int, mtu int64) []int64 {
-	msg := typ.Size() * int64(count)
-	n := int((msg + mtu - 1) / mtu)
-	counts := make([]int64, n)
-	var pos int64
-	typ.ForEachBlock(count, func(off, size int64) {
-		first := pos / mtu
-		last := (pos + size - 1) / mtu
-		for p := first; p <= last; p++ {
-			counts[p]++
-		}
-		pos += size
-	})
-	return counts
 }

@@ -62,7 +62,7 @@ func NewSessionConfig() SessionConfig {
 // committed on it shares. It is the library-lifetime object an MPI
 // implementation would hold: types are committed once (Commit), receives
 // are posted against endpoints many times, and the expensive offload state
-// — compiled block programs, dataloops, checkpoint sets, specialized
+// — lowered plans, dataloops, checkpoint sets, specialized
 // handlers — is built exactly once per committed handle and amortized
 // across every post (the paper's Fig. 18 reuse argument as an API).
 // Sessions are safe for concurrent use.
@@ -138,7 +138,7 @@ func (s *Session) Commit(t *ddt.Type) (*TypeHandle, error) {
 }
 
 // CommitAs commits the datatype with an explicit strategy. The commit
-// compiles the type's block program; the per-count offload state
+// lowers the type's plan; the per-count offload state
 // (handlers, checkpoint sets, offset lists) is built exactly once on first
 // use and shared by every subsequent post of the handle. Commit is
 // concurrency-safe and idempotent per (type, strategy).
@@ -160,7 +160,7 @@ func (s *Session) CommitWith(t *ddt.Type, strategy Strategy, opts CommitOpts) (*
 	if t == nil || t.Size() <= 0 {
 		return nil, fmt.Errorf("core: cannot commit an empty datatype")
 	}
-	t.Commit() // compiles the block program (idempotent)
+	t.Commit() // lowers the plan (idempotent)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

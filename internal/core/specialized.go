@@ -1,161 +1,119 @@
 package core
 
 import (
-	"fmt"
-	"math/bits"
-	"sort"
-
 	"spinddt/internal/ddt"
+	"spinddt/internal/hostcpu"
+	"spinddt/internal/plan"
 	"spinddt/internal/spin"
 )
 
-// vecState is the NIC-memory state of the vector-specialized handler
-// (the paper's spin_vec_t of Listing 1): constant-time arithmetic maps any
-// stream offset to its destination address. Unlike the simplified listing,
-// this implementation handles packet payloads that split blocks.
-type vecState struct {
-	cost      CostModel
-	blockSize int64 // bytes per contiguous block
-	stride    int64 // bytes between block starts within an element
-	perElem   int64 // blocks per datatype element
-	extent    int64 // bytes between consecutive elements
-	msgSize   int64
+// This file builds the specialized handlers of Sec. 3.2.3: one resolver,
+// two handlers. The resolver is a lowered plan.Gather that maps a packet's
+// stream offset to its contiguous host regions — O(1) arithmetic for
+// contiguous and vector layouts (the paper's spin_vec_t of Listing 1), an
+// ⟨offset, size⟩ list with a binary search otherwise ("Other datatypes").
+// The receive handler scatters an arrived packet through it into host
+// memory; the send handler gathers an outgoing packet through it over the
+// PCIe read path (the state a PtlProcessPut references, Sec. 3.1.2). One
+// cost function prices both. Unlike the simplified listing, packets may
+// split blocks.
+
+// specState is the NIC-resident state of a specialized handler: the shared
+// resolver plus the handler cost constants.
+type specState struct {
+	cost CostModel
+	g    *plan.Gather
 }
 
-// NICBytes is the handler state: the four spin_vec_t parameters.
-func (v *vecState) NICBytes() int64 { return 32 }
-
-func (v *vecState) payload(a *spin.HandlerArgs) spin.Result {
-	var blocks int64
-	consumed := int64(0)
-	total := int64(len(a.Payload))
-	for consumed < total {
-		pos := a.StreamOff + consumed
-		g := pos / v.blockSize      // global block index
-		within := pos % v.blockSize // offset inside the block
-		hostOff := (g/v.perElem)*v.extent + (g%v.perElem)*v.stride + within
-		n := v.blockSize - within
-		if n > total-consumed {
-			n = total - consumed
-		}
-		a.DMA.Write(hostOff, a.Payload[consumed:consumed+n], spin.NoEvent)
-		consumed += n
-		blocks++
-	}
-	proc := times(blocks, v.cost.SpecPerBlock)
+// result prices one handler run that touched blocks regions: T_init, plus
+// the list resolver's binary search, plus the per-region work.
+func (s *specState) result(blocks int64) spin.Result {
+	search := times(int64(s.g.SearchSteps()), s.cost.SpecBinSearchStep)
+	proc := times(blocks, s.cost.SpecPerBlock)
 	return spin.Result{
-		Runtime:   v.cost.SpecInit + proc,
-		Breakdown: spin.Breakdown{Init: v.cost.SpecInit, Processing: proc},
+		Runtime:   s.cost.SpecInit + search + proc,
+		Breakdown: spin.Breakdown{Init: s.cost.SpecInit, Setup: search, Processing: proc},
 	}
 }
 
-// listState is the offset-list specialized handler used for indexed, struct
-// and any other non-vector datatype (Sec. 3.2.3 "Other datatypes"): the
-// host copies the full ⟨offset, size⟩ region list of the message to NIC
-// memory and the handler locates a packet's first region with a binary
-// search over the stream positions.
-type listState struct {
-	cost        CostModel
-	memOff      []int64 // destination offset per region
-	size        []int64 // region size
-	streamStart []int64 // packed-stream position per region (prefix sums)
-	msgSize     int64
+// scatter is the receive-side payload handler.
+func (s *specState) scatter(a *spin.HandlerArgs) spin.Result {
+	return s.result(s.g.Scatter(a.StreamOff, a.Payload, a.DMA))
 }
 
-func buildListState(cost CostModel, typ *ddt.Type, count int) *listState {
-	n := typ.TotalBlocks(count)
-	ls := &listState{
-		cost:        cost,
-		msgSize:     typ.Size() * int64(count),
-		memOff:      make([]int64, 0, n),
-		size:        make([]int64, 0, n),
-		streamStart: make([]int64, 0, n),
-	}
-	var pos int64
-	typ.ForEachBlock(count, func(off, size int64) {
-		ls.memOff = append(ls.memOff, off)
-		ls.size = append(ls.size, size)
-		ls.streamStart = append(ls.streamStart, pos)
-		pos += size
-	})
-	return ls
+// gather is the send-side payload handler; a nil payload runs timing-only.
+func (s *specState) gather(a *spin.HandlerArgs) spin.Result {
+	return s.result(s.g.Resolve(a.StreamOff, a.PktBytes, a.Payload, a.DMARead))
 }
 
-// NICBytes follows the paper's accounting: one ⟨offset, size⟩ pair per
-// region (stream positions are prefix sums of the sizes).
-func (l *listState) NICBytes() int64 { return int64(len(l.memOff)) * 16 }
+// specBuild is one specialized build of a committed layout, shared by both
+// directions: the resolver, the two handlers over it and its bookkeeping.
+type specBuild struct {
+	g               *plan.Gather
+	scatter, gather spin.Handler
+	// nicBytes is the handler state in NIC memory; blocks the layout's
+	// contiguous regions.
+	nicBytes, blocks int64
+}
 
-func (l *listState) payload(a *spin.HandlerArgs) spin.Result {
-	total := int64(len(a.Payload))
-	end := a.StreamOff + total
-	// Binary search for the region containing the packet's first byte.
-	i := sort.Search(len(l.streamStart), func(k int) bool {
-		return l.streamStart[k] > a.StreamOff
-	}) - 1
-	var blocks int64
-	for pos := a.StreamOff; pos < end; i++ {
-		within := pos - l.streamStart[i]
-		n := l.size[i] - within
-		if n > end-pos {
-			n = end - pos
-		}
-		a.DMA.Write(l.memOff[i]+within, a.Payload[pos-a.StreamOff:pos-a.StreamOff+n], spin.NoEvent)
-		pos += n
-		blocks++
+// kind labels the resolver ("contiguous", "vector", "list").
+func (b *specBuild) kind() string { return b.g.Kind().String() }
+
+// prep is the host preparation of the build: the CPU walks the layout to
+// emit a list resolver's regions, then the state crosses PCIe.
+func (b *specBuild) prep(p BuildParams) HostPrep {
+	walk := int64(0)
+	if b.g.Kind() == plan.GatherList {
+		walk = b.blocks
 	}
-	search := times(int64(bits.Len(uint(len(l.streamStart)))), l.cost.SpecBinSearchStep)
-	proc := times(blocks, l.cost.SpecPerBlock)
-	return spin.Result{
-		Runtime: l.cost.SpecInit + search + proc,
-		Breakdown: spin.Breakdown{
-			Init:       l.cost.SpecInit,
-			Setup:      search,
-			Processing: proc,
-		},
+	return HostPrep{
+		CPUTime:   hostcpu.WalkCost(p.Host, walk),
+		CopyBytes: b.nicBytes,
+		CopyTime:  p.NIC.PCIe.ByteTime(b.nicBytes) + p.NIC.PCIe.ReadLatency,
 	}
 }
 
-// buildSpecialized selects the vector fast path when the (normalized)
-// datatype is a uniform-block strided layout, and the offset-list handler
-// otherwise. It returns the payload handler, its NIC state size and the
-// kind label.
-func buildSpecialized(cost CostModel, typ *ddt.Type, count int, skipNormalize bool) (spin.Handler, int64, string, error) {
-	msgSize := typ.Size() * int64(count)
-	if msgSize <= 0 {
-		return nil, 0, "", fmt.Errorf("core: empty datatype")
-	}
+// buildSpecialized selects the resolver of count elements of a non-empty
+// committed type: the arithmetic one when the (normalized) datatype is
+// contiguous or a uniform-block strided layout, the offset list otherwise.
+// Arithmetic resolvers hold the four spin_vec_t parameters (32 B); the
+// list holds one ⟨offset, size⟩ pair per region, following the paper's
+// accounting (stream positions are prefix sums of the sizes).
+func buildSpecialized(cost CostModel, typ *ddt.Type, count int, skipNormalize bool) *specBuild {
 	norm := typ
 	if !skipNormalize {
 		norm = ddt.Normalize(typ)
 	}
-
-	if norm.Contiguous() {
-		v := &vecState{
-			cost:      cost,
-			blockSize: msgSize,
-			stride:    0,
-			perElem:   1,
-			extent:    msgSize,
-			msgSize:   msgSize,
-		}
-		return v.payload, v.NICBytes(), "contiguous", nil
+	b := &specBuild{nicBytes: 32, blocks: typ.TotalBlocks(count)}
+	switch {
+	case norm.Contiguous():
+		b.g = plan.NewContigGather(typ.Size() * int64(count))
+	case (norm.Kind() == ddt.KindVector || norm.Kind() == ddt.KindHVector) &&
+		norm.Children()[0].Contiguous() && norm.BlockLen() > 0 && norm.StrideBytes() > 0:
+		b.g = plan.NewVectorGather(
+			int64(norm.BlockLen())*norm.Children()[0].Size(),
+			norm.StrideBytes(),
+			int64(norm.Count()),
+			norm.Extent(),
+		)
+	default:
+		b.g = plan.NewListGather(typ.Flatten(count))
+		b.nicBytes = 16 * b.blocks
 	}
+	st := &specState{cost: cost, g: b.g}
+	b.scatter, b.gather = st.scatter, st.gather
+	return b
+}
 
-	if norm.Kind() == ddt.KindVector || norm.Kind() == ddt.KindHVector {
-		base := norm.Children()[0]
-		if base.Contiguous() && norm.BlockLen() > 0 && norm.StrideBytes() > 0 {
-			v := &vecState{
-				cost:      cost,
-				blockSize: int64(norm.BlockLen()) * base.Size(),
-				stride:    norm.StrideBytes(),
-				perElem:   int64(norm.Count()),
-				extent:    norm.Extent(),
-				msgSize:   msgSize,
-			}
-			return v.payload, v.NICBytes(), "vector", nil
-		}
+// specialized returns the cached specialized build of a layout. Receive
+// builds honor DisableNormalization (skipNormalize); send builds always
+// normalize, so they share the receive builds made with it off.
+func (c *offloadCaches) specialized(cost CostModel, typ *ddt.Type, count int, skipNormalize bool) *specBuild {
+	k := specCacheKey{typ: typ, count: count, cost: cost, disableNorm: skipNormalize}
+	if v, ok := c.spec.Load(k); ok {
+		return v.(*specBuild)
 	}
-
-	ls := buildListState(cost, typ, count)
-	return ls.payload, ls.NICBytes(), "list", nil
+	b := buildSpecialized(cost, typ, count, skipNormalize)
+	c.store(&c.spec, k, b)
+	return b
 }

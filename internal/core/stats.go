@@ -34,14 +34,14 @@ func (c *PlanCounters) notePlan(p *plan.Plan) {
 }
 
 // noteGather records the gather resolver selected for a sender build.
-func (c *PlanCounters) noteGather(kind string) {
+func (c *PlanCounters) noteGather(k plan.GatherKind) {
 	if c == nil {
 		return
 	}
-	switch kind {
-	case "contiguous":
+	switch k {
+	case plan.GatherContig:
 		c.gatherContig.Add(1)
-	case "vector":
+	case plan.GatherVector:
 		c.gatherVector.Add(1)
 	default:
 		c.gatherList.Add(1)

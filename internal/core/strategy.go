@@ -127,12 +127,13 @@ type BuildParams struct {
 // (instantiate.go) behind BuildOffload:
 //
 //   - IMMUTABLE, cached per key: compiled dataloops, checkpoint sets with
-//     their interval choice, specialized handlers and gather plans, and
-//     the offloadTemplate assembling them per full (strategy, BuildParams)
-//     key. Templates and their artifacts are read-only after construction
-//     — dataloops are never written, checkpoint masters stay pristine for
-//     reverts, specialized/gather handler state is fixed at build — so
-//     concurrent sweep workers and cluster ranks share them safely.
+//     their interval choice, specialized builds (one resolver serving the
+//     receive and the send handler), and the offloadTemplate assembling
+//     them per full (strategy, BuildParams) key. Templates and their
+//     artifacts are read-only after construction — dataloops are never
+//     written, checkpoint masters stay pristine for reverts, resolver
+//     state is fixed at build — so concurrent sweep workers and cluster
+//     ranks share them safely.
 //   - MUTABLE, pooled per template: the *Offload instances BuildOffload
 //     returns. Each owns its execution context, its general-strategy
 //     working state (progressing checkpoints, per-vHPU segments, the
@@ -182,12 +183,6 @@ type specCacheKey struct {
 	disableNorm bool
 }
 
-type specCacheEntry struct {
-	handler  spin.Handler
-	nicBytes int64
-	kind     string
-}
-
 // tmplCacheKey identifies one offload template: the strategy plus every
 // build input (the NIC trace is normalized away — tracing never affects a
 // build).
@@ -203,8 +198,8 @@ type tmplCacheKey struct {
 // package-level one-shot wrappers (Run, RunTransfer, RunCluster via
 // BuildOffload) share defaultCaches.
 type offloadCaches struct {
-	loop, ckpt, spec, txspec, tmpl sync.Map
-	size                           atomic.Int64
+	loop, ckpt, spec, tmpl sync.Map
+	size                   atomic.Int64
 	// counters tallies plan selections for Session.Stats.
 	counters PlanCounters
 }
@@ -295,30 +290,11 @@ func (c *offloadCaches) buildTemplate(s Strategy, p BuildParams) (*offloadTempla
 
 	switch s {
 	case Specialized:
-		sk := specCacheKey{typ: p.Type, count: p.Count, cost: p.Cost, disableNorm: p.DisableNormalization}
-		var se specCacheEntry
-		if v, ok := c.spec.Load(sk); ok {
-			se = v.(specCacheEntry)
-		} else {
-			handler, nicBytes, kind, err := buildSpecialized(p.Cost, p.Type, p.Count, p.DisableNormalization)
-			if err != nil {
-				return nil, err
-			}
-			se = specCacheEntry{handler: handler, nicBytes: nicBytes, kind: kind}
-			c.store(&c.spec, sk, se)
-		}
-		t.specHandler = se.handler
-		t.nicMemBytes = se.nicBytes
-		t.specKind = se.kind
-		walk := int64(0)
-		if se.kind == "list" {
-			walk = p.Type.TotalBlocks(p.Count)
-		}
-		t.prep = HostPrep{
-			CPUTime:   hostcpu.WalkCost(p.Host, walk),
-			CopyBytes: se.nicBytes,
-			CopyTime:  p.NIC.PCIe.ByteTime(se.nicBytes) + p.NIC.PCIe.ReadLatency,
-		}
+		b := c.specialized(p.Cost, p.Type, p.Count, p.DisableNormalization)
+		t.specHandler = b.scatter
+		t.nicMemBytes = b.nicBytes
+		t.specKind = b.kind()
+		t.prep = b.prep(p)
 		return t, nil
 
 	case HPULocal:

@@ -82,7 +82,7 @@ func (s *Session) buildBackendSend(strategy SendStrategy, typ *ddt.Type, count i
 		send.Msg = nic.TxMessage{Kind: nic.TxPacked, MsgBytes: msg, PackTime: pack.Time, Packed: packed}
 
 	case StreamingPuts:
-		regions := iovecRegions(typ, count)
+		regions := typ.Flatten(count)
 		ready, cpu, bytes, err := nic.StreamingSchedule(nicCfg, regions, host.InterpPerBlock)
 		if err != nil {
 			return BackendSend{}, err

@@ -4,34 +4,17 @@ import (
 	"fmt"
 
 	"spinddt/internal/ddt"
-	"spinddt/internal/hostcpu"
-	"spinddt/internal/nic"
 	"spinddt/internal/plan"
 	"spinddt/internal/spin"
 )
 
 // This file builds the sender half of the symmetric offload: a gather
-// execution context whose payload handler walks the committed datatype's
-// block program in reverse direction — instead of scattering an arrived
-// packet into host memory, it resolves the packet's contiguous SOURCE
-// regions, fetches them over the PCIe read path (HandlerArgs.DMARead) and
-// fills the packet's slice of the outgoing wire stream. It is the state a
-// PtlProcessPut references on the sender NIC (Sec. 3.1.2), mirroring the
-// receive-side specialized handlers. The resolver itself — O(1) arithmetic
-// for vector-like layouts, an offset list with binary search otherwise — is
-// a lowered plan.Gather; the handler here only adds the device cost model
-// on top of the kernel.
-
-// iovecRegions materializes the committed layout's contiguous regions in
-// stream order — the list the iovec baseline, the streaming-puts
-// announcements and the offset-list builders all consume.
-func iovecRegions(typ *ddt.Type, count int) []nic.IovecRegion {
-	regions := make([]nic.IovecRegion, 0, typ.TotalBlocks(count))
-	typ.ForEachBlock(count, func(off, size int64) {
-		regions = append(regions, nic.IovecRegion{HostOff: off, Size: size})
-	})
-	return regions
-}
+// execution context whose payload handler resolves an outgoing packet's
+// contiguous SOURCE regions, fetches them over the PCIe read path
+// (HandlerArgs.DMARead) and fills the packet's slice of the wire stream.
+// It is the state a PtlProcessPut references on the sender NIC
+// (Sec. 3.1.2). The resolver and its cost model are the receive side's
+// (specialized.go): one resolver, two handlers.
 
 // TxOffload is a built gather context plus its bookkeeping.
 type TxOffload struct {
@@ -45,51 +28,6 @@ type TxOffload struct {
 	Plan *plan.Gather
 }
 
-// txGatherState wraps a lowered gather plan with the handler cost model:
-// the plan resolves and fetches a packet's source regions, the state maps
-// the touched-region count to simulated handler time.
-type txGatherState struct {
-	cost CostModel
-	g    *plan.Gather
-}
-
-func (t *txGatherState) payload(a *spin.HandlerArgs) spin.Result {
-	blocks := t.g.Resolve(a.StreamOff, a.PktBytes, a.Payload, a.DMARead)
-	proc := times(blocks, t.cost.SpecPerBlock)
-	if steps := t.g.SearchSteps(); steps > 0 {
-		search := times(int64(steps), t.cost.SpecBinSearchStep)
-		return spin.Result{
-			Runtime: t.cost.SpecInit + search + proc,
-			Breakdown: spin.Breakdown{
-				Init:       t.cost.SpecInit,
-				Setup:      search,
-				Processing: proc,
-			},
-		}
-	}
-	return spin.Result{
-		Runtime:   t.cost.SpecInit + proc,
-		Breakdown: spin.Breakdown{Init: t.cost.SpecInit, Processing: proc},
-	}
-}
-
-// txCacheKey identifies a cached gather build. The gather depends only on
-// the committed layout and the handler cost constants — not on the receive
-// strategy, the checkpoint heuristic or the NIC geometry.
-type txCacheKey struct {
-	typ   *ddt.Type
-	count int
-	cost  CostModel
-}
-
-type txCacheEntry struct {
-	handler  spin.Handler
-	gather   *plan.Gather
-	nicBytes int64
-	kind     string
-	blocks   int64
-}
-
 // BuildTxOffload constructs the gather execution context for sending count
 // elements of the committed datatype, using the shared default caches.
 func BuildTxOffload(p BuildParams) (*TxOffload, error) {
@@ -100,8 +38,8 @@ func BuildTxOffload(p BuildParams) (*TxOffload, error) {
 // select for count elements of the committed datatype, plus its kind label
 // — the plan-report hook, bypassing the caches.
 func GatherPlan(typ *ddt.Type, count int) (*plan.Gather, string) {
-	e := buildTxGather(DefaultCostModel(), typ, count)
-	return e.gather, e.kind
+	b := buildSpecialized(DefaultCostModel(), typ, count, false)
+	return b.g, b.kind()
 }
 
 // buildTxOffload is BuildTxOffload against one session's cache set. The
@@ -113,77 +51,20 @@ func (c *offloadCaches) buildTxOffload(p BuildParams) (*TxOffload, error) {
 	if p.Count <= 0 {
 		return nil, fmt.Errorf("core: count %d", p.Count)
 	}
-	msgSize := p.Type.Size() * int64(p.Count)
-	if msgSize <= 0 {
+	if p.Type.Size()*int64(p.Count) <= 0 {
 		return nil, fmt.Errorf("core: empty datatype")
 	}
-
-	k := txCacheKey{typ: p.Type, count: p.Count, cost: p.Cost}
-	var e txCacheEntry
-	if v, ok := c.txspec.Load(k); ok {
-		e = v.(txCacheEntry)
-	} else {
-		e = buildTxGather(p.Cost, p.Type, p.Count)
-		c.store(&c.txspec, k, e)
-	}
-	c.counters.noteGather(e.kind)
-
-	walk := int64(0)
-	if e.kind == "list" {
-		walk = e.blocks
-	}
+	b := c.specialized(p.Cost, p.Type, p.Count, false)
+	c.counters.noteGather(b.g.Kind())
 	return &TxOffload{
 		Ctx: &spin.ExecutionContext{
-			Name:        "gather/" + e.kind,
-			Payload:     e.handler,
-			NICMemBytes: e.nicBytes,
+			Name:        "gather/" + b.kind(),
+			Payload:     b.gather,
+			NICMemBytes: b.nicBytes,
 		},
-		Prep: HostPrep{
-			CPUTime:   hostcpu.WalkCost(p.Host, walk),
-			CopyBytes: e.nicBytes,
-			CopyTime:  p.NIC.PCIe.ByteTime(e.nicBytes) + p.NIC.PCIe.ReadLatency,
-		},
-		Kind:   e.kind,
-		Blocks: e.blocks,
-		Plan:   e.gather,
+		Prep:   b.prep(p),
+		Kind:   b.kind(),
+		Blocks: b.blocks,
+		Plan:   b.g,
 	}, nil
-}
-
-// buildTxGather lowers the committed layout into its gather plan — the
-// O(1) arithmetic resolver when the normalized datatype is a uniform-block
-// strided layout, the offset-list resolver otherwise (the sender-side
-// mirror of buildSpecialized) — and wraps it with the cost model.
-func buildTxGather(cost CostModel, typ *ddt.Type, count int) txCacheEntry {
-	msgSize := typ.Size() * int64(count)
-	norm := ddt.Normalize(typ)
-
-	if norm.Contiguous() {
-		g := plan.NewContigGather(msgSize)
-		st := &txGatherState{cost: cost, g: g}
-		return txCacheEntry{handler: st.payload, gather: g, nicBytes: 32, kind: "contiguous", blocks: 1}
-	}
-	if norm.Kind() == ddt.KindVector || norm.Kind() == ddt.KindHVector {
-		base := norm.Children()[0]
-		if base.Contiguous() && norm.BlockLen() > 0 && norm.StrideBytes() > 0 {
-			g := plan.NewVectorGather(
-				int64(norm.BlockLen())*base.Size(),
-				norm.StrideBytes(),
-				int64(norm.Count()),
-				norm.Extent(),
-			)
-			st := &txGatherState{cost: cost, g: g}
-			return txCacheEntry{handler: st.payload, gather: g, nicBytes: 32, kind: "vector", blocks: typ.TotalBlocks(count)}
-		}
-	}
-
-	n := typ.TotalBlocks(count)
-	hostOff := make([]int64, 0, n)
-	size := make([]int64, 0, n)
-	typ.ForEachBlock(count, func(off, sz int64) {
-		hostOff = append(hostOff, off)
-		size = append(size, sz)
-	})
-	g := plan.NewListGather(hostOff, size)
-	st := &txGatherState{cost: cost, g: g}
-	return txCacheEntry{handler: st.payload, gather: g, nicBytes: n * 16, kind: "list", blocks: n}
 }

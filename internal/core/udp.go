@@ -87,7 +87,7 @@ const udpRecvTimeout = 30 * time.Second
 // UDPBackend executes the data movement over a real wire: each posted
 // message's packed stream is framed, sent over UDP (or an in-memory
 // pipe) through the reliability layer, and scattered on the receiving
-// side by the block program decoded from the wire — gather on the
+// side through the datatype decoded from the wire — gather on the
 // sender, scatter on the receiver, exactly the paper's exchange split.
 // Reported times come from the same host CPU cost model as MemBackend,
 // so results stay deterministic and byte-identical to the oracle even
@@ -177,7 +177,7 @@ func (u *UDPBackend) drainInto(expect int, idx map[uint32]int, deliver func(i in
 	return nil
 }
 
-// scatter executes one received message's block program against its
+// scatter unpacks one received message through its datatype into its
 // destination buffer and reports cost-model timing, mirroring
 // MemBackend so both backends land identical results. want is the
 // CRC-32C the sender computed over the wire stream it injected; when the
@@ -288,7 +288,7 @@ func udpSendResult(env BackendEnv, s *BackendSend) nic.SendResult {
 }
 
 // FlushSends implements Backend over the wire: each send's gather (the
-// reference pack of its committed block program) is transmitted through
+// reference pack of its committed type) is transmitted through
 // the reliability layer, and the bytes that arrive become the send's
 // wire stream — so downstream verification checks true wire integrity,
 // not a local copy.
@@ -437,7 +437,7 @@ func (u *UDPBackend) Iovec(env BackendEnv, regions []nic.IovecRegion, packed, ds
 	err := u.drainInto(1, idx, func(_ int, msg transport.Message) {
 		var pos int64
 		for _, r := range regions {
-			copy(dst[r.HostOff:r.HostOff+r.Size], msg.Payload[pos:pos+r.Size])
+			copy(dst[r.Offset:r.Offset+r.Size], msg.Payload[pos:pos+r.Size])
 			pos += r.Size
 		}
 		cost := hostcpu.CopyCost(env.Host, pos) + hostcpu.WalkCost(env.Host, int64(len(regions)))

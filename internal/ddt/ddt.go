@@ -10,19 +10,18 @@
 // simulated NIC handlers interpret, and every strategy in internal/core is
 // validated against the reference Pack/Unpack implemented here.
 //
-// Commit compiles each type's typemap into a flat block program (see
-// program.go) that Pack, Unpack, ForEachBlock, Flatten, TotalBlocks and
-// Gamma replay instead of re-walking the constructor tree, mirroring how
-// the paper's offload engine precomputes per-datatype state once at
-// MPI_Type_commit and reuses it for every message. Commit additionally
-// lowers the program into a specialized execution plan (internal/plan,
-// exposed via Type.Plan): contiguous memmove, unrolled fixed-stride kernel
-// or general offset loop, selected once per type — Pack/Unpack/PackInto
-// dispatch to it whenever the caller's buffers cover the footprint, and
-// fall back to the streaming walk otherwise. Typemaps above the flat
-// compilation cap compile into bounded tiles (still replayed by flat
-// loops); only past the tiled cap does iteration stream the recursive
-// walk.
+// Commit walks each type's typemap once and lowers the merged regions of
+// one element into an execution plan (internal/plan, exposed via
+// Type.Plan), mirroring how the paper's offload engine precomputes
+// per-datatype state once at MPI_Type_commit and reuses it for every
+// message. The plan owns the region program: ForEachBlock and Flatten
+// replay it instead of re-walking the constructor tree, and Pack, Unpack
+// and PackInto dispatch to its selected kernel — contiguous memmove,
+// unrolled fixed-stride loop or general offset loop — whenever the
+// caller's buffers cover the footprint, falling back to the streaming walk
+// otherwise. Typemaps above the flat compilation cap are handed over in
+// bounded tiles (see program.go); only past the tiled cap is there no plan
+// and iteration streams the recursive walk.
 package ddt
 
 import (
@@ -113,8 +112,8 @@ type Type struct {
 	trueLB     int64 // smallest typemap offset (MPI true lower bound)
 	trueUB     int64 // largest typemap offset+size (MPI true upper bound)
 	fuse       bool  // last region of element i fuses with first of i+1
-	prog       *blockProgram
-	execPlan   *plan.Plan // execution plan lowered from prog at Commit
+	// execPlan is the region program and its kernels, lowered at Commit.
+	execPlan *plan.Plan
 }
 
 // Kind returns the constructor kind of the type.
@@ -171,7 +170,7 @@ func (t *Type) Committed() bool { return t.committed }
 
 // Commit finalizes the datatype: one recursive walk of the typemap caches
 // the statistics (contiguous region counts and min/max region sizes) and
-// compiles the block program that every subsequent iteration replays. It
+// lowers the region program that every subsequent iteration replays. It
 // mirrors MPI_Type_commit — an implementation intercepts this call to
 // prepare offload data structures. Commit is idempotent and safe for
 // concurrent use.
@@ -240,17 +239,19 @@ func (t *Type) commit() {
 	// those coincide, identically at every boundary.
 	t.fuse = n > 0 && lastEnd == firstOff+t.extent
 	if !overflow {
-		t.prog = &blockProgram{elem: blocks, tiles: tiles, fuse: t.fuse}
-		t.execPlan = lowerPlan(t.prog, t.size, t.extent)
+		if tiles == nil {
+			tiles = [][]Block{blocks}
+		}
+		t.execPlan = plan.Lower(plan.Program{Tiles: tiles, Fuse: t.fuse, Size: t.size, Extent: t.extent})
 	}
 	t.committed = true
 }
 
-// Plan returns the execution plan lowered from the compiled block program
-// at Commit — the specialized pack/unpack kernels the hot consumers
-// dispatch to. It is nil only for typemaps whose region count exceeds the
-// tiled compilation cap (the streaming-walk fallback). Plan commits the
-// type.
+// Plan returns the execution plan lowered at Commit: the region program
+// ForEachBlock replays and the specialized pack/unpack kernels the hot
+// consumers dispatch to. It is nil only for typemaps whose region count
+// exceeds the tiled compilation cap (the streaming-walk fallback). Plan
+// commits the type.
 func (t *Type) Plan() *plan.Plan {
 	t.Commit()
 	return t.execPlan

@@ -4,8 +4,8 @@ import "spinddt/internal/plan"
 
 // Block is one contiguous region of a typemap: Size bytes at byte Offset
 // relative to the element origin (or buffer start when iterating a count of
-// elements). It is an alias of plan.Region so a committed block program's
-// region lists lower into execution plans without copying.
+// elements). It is an alias of plan.Region so a committed type's region
+// lists lower into execution plans without copying.
 type Block = plan.Region
 
 // merger coalesces adjacent emissions: a block starting exactly where the
@@ -43,14 +43,13 @@ func (m *merger) flush() {
 // regions merge across element boundaries, exactly as a contiguous message
 // buffer would be described.
 //
-// ForEachBlock commits the type: after the first call the compiled block
-// program is replayed instead of re-walking the constructor tree. Types
-// whose region count exceeds the compilation cap stream through the
-// recursive walk.
+// ForEachBlock commits the type and replays its plan's region program
+// (plan.Plan.ForEach) instead of re-walking the constructor tree. Types
+// whose region count exceeds the tiled compilation cap have no plan and
+// stream through the recursive walk.
 func (t *Type) ForEachBlock(count int, fn func(off, size int64)) {
-	t.Commit()
-	if p := t.prog; p != nil {
-		p.replay(count, t.extent, fn)
+	if p := t.Plan(); p != nil {
+		p.ForEach(count, fn)
 		return
 	}
 	m := &merger{emit: fn}

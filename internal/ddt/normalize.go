@@ -164,7 +164,7 @@ func TypemapEqual(a, b *Type) bool {
 // withChildren returns a shallow copy of t with the child slice replaced.
 // The constructor fields are copied one by one — Type embeds a sync.Once
 // and must not be copied as a value — so the copy is uncommitted with no
-// cached statistics or compiled program.
+// cached statistics or lowered plan.
 func (t *Type) withChildren(children []*Type) *Type {
 	return &Type{
 		kind:      t.kind,

@@ -1,40 +1,24 @@
 package ddt
 
-import "spinddt/internal/plan"
-
-// Compiled block programs.
+// Region-program shape.
 //
-// A committed datatype carries a blockProgram: the merged contiguous regions
-// of ONE element, materialized once at Commit time, plus the one bit of
-// cross-element structure needed to replay the full message — whether the
-// last region of element i fuses with the first region of element i+1 when
-// consecutive elements are laid out Extent() bytes apart.
+// Commit materializes the merged contiguous regions of ONE element and
+// hands them, with the cross-element fusion bit, to plan.Lower: the
+// resulting plan.Plan owns the region program. Pack, Unpack, ForEachBlock,
+// Flatten, the host-CPU cost model and the offload builders all read it
+// from there; this file only decides the shape it is handed over in.
 //
-// Replaying the program shifted by i*Extent() reproduces, block for block,
-// what the recursive typemap walk (forEach + merger) emits for any element
-// count, but in a tight loop over a flat slice instead of a tree traversal
-// with per-region closure calls. Every consumer of the typemap — Pack,
-// Unpack, ForEachBlock, Flatten, TotalBlocks, Gamma, the host-CPU cost
-// model and the offload builders — rides this fast path, and Commit also
-// lowers the program into a specialized execution plan (internal/plan):
-// contiguous memmove, unrolled stride kernel, or general offset loop, which
-// the hot pack/unpack/gather consumers dispatch to directly.
-//
-// The fusion bit is sound because the per-element regions are maximally
-// merged: region k and k+1 of the same element never touch (otherwise the
-// merger would have coalesced them), so a fused boundary block can never
-// cascade into the element's second region. The only unbounded cascade is
-// the single-region case (size == extent), where the whole message collapses
-// to one region; replay handles it in closed form.
-//
-// Typemaps above compiledBlockCap compile into bounded TILES instead of one
-// flat slice — per-checkpoint-interval chunks of tileBlocks regions — so
-// pathological types still replay flat loops instead of the recursive walk.
-// Only past tiledBlockCap does the program stay nil and every consumer fall
-// back to the streaming recursive walk, keeping memory bounded.
+//   - Up to compiledBlockCap regions, the element is one flat tile.
+//   - Above it, the regions are chunked into tiles of tileBlocks regions
+//     (per-checkpoint-interval chunks), so pathological types still run
+//     flat loops instead of the recursive walk. plan.Lower executes tiled
+//     programs with its Offsets kernels.
+//   - Past tiledBlockCap there is no plan: Commit keeps only the
+//     statistics, and every consumer streams through the recursive walk,
+//     keeping memory bounded.
 
 // compiledBlockCap bounds the per-element regions Commit materializes as a
-// single flat slice (16 bytes per region: 32 MiB at the default). Above it
+// single flat tile (16 bytes per region: 32 MiB at the default). Above it
 // the program switches to tiled form. It is a variable so tests can force
 // the tiled and streaming paths.
 var compiledBlockCap = int64(1) << 21
@@ -48,152 +32,6 @@ var tileBlocks = int64(1) << 18
 // regions at the default); past it Commit keeps only the statistics and
 // every consumer streams through the recursive walk.
 var tiledBlockCap = int64(1) << 23
-
-// blockProgram is the compiled, replayable form of one element's typemap:
-// flat (elem) below compiledBlockCap, tiled above it.
-type blockProgram struct {
-	// elem holds the merged contiguous regions of a single element, in
-	// typemap order; nil when the program is tiled.
-	elem []Block
-	// tiles holds the same regions chunked into tileBlocks-sized tiles;
-	// nil when the program is flat.
-	tiles [][]Block
-	// fuse records that the last region of element i and the first region
-	// of element i+1 form one contiguous run (lastEnd == firstOff+extent).
-	fuse bool
-}
-
-// regionsPerElem returns the merged region count of one element.
-func (p *blockProgram) regionsPerElem() int64 {
-	if p.tiles == nil {
-		return int64(len(p.elem))
-	}
-	var n int64
-	for _, t := range p.tiles {
-		n += int64(len(t))
-	}
-	return n
-}
-
-// planTiles returns the region lists in the lowering input shape: the tile
-// slices themselves for a tiled program, the flat slice as a single tile
-// otherwise. No regions are copied (Block aliases plan.Region).
-func (p *blockProgram) planTiles() [][]plan.Region {
-	if p.tiles != nil {
-		return p.tiles
-	}
-	return [][]Block{p.elem}
-}
-
-// replay emits the merged regions of count consecutive elements, shifted by
-// extent per element, exactly as the recursive walk would.
-func (p *blockProgram) replay(count int, extent int64, fn func(off, size int64)) {
-	if p.tiles != nil {
-		p.replayTiled(count, extent, fn)
-		return
-	}
-	n := len(p.elem)
-	if n == 0 || count <= 0 {
-		return
-	}
-	if !p.fuse {
-		for i := 0; i < count; i++ {
-			shift := int64(i) * extent
-			for _, b := range p.elem {
-				fn(b.Offset+shift, b.Size)
-			}
-		}
-		return
-	}
-	if n == 1 {
-		// One region per element fusing across every boundary: the whole
-		// message is a single contiguous run.
-		fn(p.elem[0].Offset, p.elem[0].Size+int64(count-1)*extent)
-		return
-	}
-	first, last := p.elem[0], p.elem[n-1]
-	mid := p.elem[1 : n-1]
-	fn(first.Offset, first.Size)
-	for _, b := range mid {
-		fn(b.Offset, b.Size)
-	}
-	bridge := last.Size + first.Size
-	for i := 1; i < count; i++ {
-		shift := int64(i) * extent
-		fn(last.Offset+shift-extent, bridge)
-		for _, b := range mid {
-			fn(b.Offset+shift, b.Size)
-		}
-	}
-	fn(last.Offset+int64(count-1)*extent, last.Size)
-}
-
-// replayTiled is replay over the tiled form: the same flat loops, walking
-// the tile list instead of one slice.
-func (p *blockProgram) replayTiled(count int, extent int64, fn func(off, size int64)) {
-	n := p.regionsPerElem()
-	if n == 0 || count <= 0 {
-		return
-	}
-	if !p.fuse {
-		for i := 0; i < count; i++ {
-			shift := int64(i) * extent
-			for _, tile := range p.tiles {
-				for _, b := range tile {
-					fn(b.Offset+shift, b.Size)
-				}
-			}
-		}
-		return
-	}
-	first := p.tiles[0][0]
-	lastTile := p.tiles[len(p.tiles)-1]
-	last := lastTile[len(lastTile)-1]
-	if n == 1 {
-		fn(first.Offset, first.Size+int64(count-1)*extent)
-		return
-	}
-	// mids emits every region of one element except the first and last.
-	mids := func(shift int64) {
-		for ti, tile := range p.tiles {
-			lo, hi := 0, len(tile)
-			if ti == 0 {
-				lo = 1
-			}
-			if ti == len(p.tiles)-1 {
-				hi = len(tile) - 1
-			}
-			if hi < lo {
-				continue
-			}
-			for _, b := range tile[lo:hi] {
-				fn(b.Offset+shift, b.Size)
-			}
-		}
-	}
-	fn(first.Offset, first.Size)
-	mids(0)
-	bridge := last.Size + first.Size
-	for i := 1; i < count; i++ {
-		shift := int64(i) * extent
-		fn(last.Offset+shift-extent, bridge)
-		mids(shift)
-	}
-	fn(last.Offset+int64(count-1)*extent, last.Size)
-}
-
-// numBlocks returns the merged region count of count elements in O(1).
-func (p *blockProgram) numBlocks(count int) int64 {
-	n := p.regionsPerElem()
-	if count <= 0 || n == 0 {
-		return 0
-	}
-	total := n * int64(count)
-	if p.fuse {
-		total -= int64(count - 1)
-	}
-	return total
-}
 
 // appendTiled pushes one region onto the tile list, rolling a fresh tile at
 // tileBlocks regions.
@@ -217,14 +55,4 @@ func splitTiles(blocks []Block) [][]Block {
 		blocks = blocks[tileBlocks:]
 	}
 	return append(tiles, blocks)
-}
-
-// lowerPlan lowers a compiled program into its execution plan.
-func lowerPlan(p *blockProgram, size, extent int64) *plan.Plan {
-	return plan.Lower(plan.Program{
-		Tiles:  p.planTiles(),
-		Fuse:   p.fuse,
-		Size:   size,
-		Extent: extent,
-	})
 }

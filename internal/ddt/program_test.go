@@ -2,14 +2,18 @@ package ddt
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"spinddt/internal/plan"
 )
 
 // recursiveBlocks walks the constructor tree directly (the pre-compilation
-// reference path), bypassing the compiled block program.
+// reference path), bypassing the plan's region program.
 func recursiveBlocks(t *Type, count int) []Block {
 	var out []Block
 	m := &merger{emit: func(off, size int64) {
@@ -22,7 +26,7 @@ func recursiveBlocks(t *Type, count int) []Block {
 	return out
 }
 
-// checkCompiledAgainstRecursive asserts that the compiled replay reproduces
+// checkCompiledAgainstRecursive asserts that the plan's replay reproduces
 // the recursive walk exactly: identical block streams, identical TotalBlocks
 // and byte-identical pack/unpack round trips.
 func checkCompiledAgainstRecursive(t *testing.T, typ *Type, count int) {
@@ -74,6 +78,14 @@ func checkCompiledAgainstRecursive(t *testing.T, typ *Type, count int) {
 	}
 }
 
+// isTiled reports whether the type lowered to an Offsets plan of exactly
+// tiles tiles, as its disassembly header states.
+func isTiled(typ *Type, tiles int) bool {
+	p := typ.Plan()
+	return p != nil && p.Kind() == plan.Offsets &&
+		strings.Contains(p.Disassemble(), fmt.Sprintf(" tiles=%d\n", tiles))
+}
+
 func TestQuickCompiledMatchesRecursive(t *testing.T) {
 	f := func(seed int64, countRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -81,8 +93,16 @@ func TestQuickCompiledMatchesRecursive(t *testing.T) {
 		checkCompiledAgainstRecursive(t, typ, int(countRaw%5)+1)
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	// The default caps replay flat elements; the shrunk ones split every
+	// multi-region element into 2-region tiles, so the tiled replay runs
+	// too, including tiles its fused boundaries leave empty.
+	saved := [3]int64{compiledBlockCap, tileBlocks, tiledBlockCap}
+	defer func() { compiledBlockCap, tileBlocks, tiledBlockCap = saved[0], saved[1], saved[2] }()
+	for _, caps := range [][3]int64{saved, {1, 2, 1 << 20}} {
+		compiledBlockCap, tileBlocks, tiledBlockCap = caps[0], caps[1], caps[2]
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("caps %v: %v", caps, err)
+		}
 	}
 }
 
@@ -128,10 +148,6 @@ func TestCompiledCapFallsBackToStreaming(t *testing.T) {
 	defer func() { compiledBlockCap, tileBlocks, tiledBlockCap = savedFlat, savedTile, savedTiled }()
 
 	typ := MustVector(8, 1, 2, Int) // 8 regions: above even the tiled cap
-	typ.Commit()
-	if typ.prog != nil {
-		t.Fatal("program materialized above the tiled cap")
-	}
 	if typ.Plan() != nil {
 		t.Fatal("plan lowered above the tiled cap")
 	}
@@ -143,26 +159,15 @@ func TestCompiledCapFallsBackToStreaming(t *testing.T) {
 	// Between the flat and tiled caps the program compiles tiled and still
 	// replays exactly.
 	mid := MustVector(6, 1, 2, Int) // 6 regions: above flat (4), within tiled (6)
-	mid.Commit()
-	if mid.prog == nil || mid.prog.tiles == nil {
-		t.Fatal("tiled program missing between the caps")
-	}
-	if mid.prog.elem != nil {
-		t.Fatal("flat slice retained by a tiled program")
-	}
-	if got := len(mid.prog.tiles); got != 2 {
-		t.Fatalf("tiles = %d, want 2 (6 regions at tileBlocks=3)", got)
-	}
-	if mid.Plan() == nil {
-		t.Fatal("plan missing for a tiled program")
+	if !isTiled(mid, 2) {
+		t.Fatal("want a plan of 2 tiles (6 regions at tileBlocks=3)")
 	}
 	checkCompiledAgainstRecursive(t, mid, 3)
 
 	// Under the flat cap the program exists and agrees.
 	small := MustVector(3, 1, 2, Int)
-	small.Commit()
-	if small.prog == nil || small.prog.elem == nil {
-		t.Fatal("program missing below the cap")
+	if p := small.Plan(); p == nil || p.Kind() != plan.Stride {
+		t.Fatal("flat stride plan missing below the cap")
 	}
 	checkCompiledAgainstRecursive(t, small, 3)
 }
@@ -176,11 +181,10 @@ func TestTiledReplayFusedBoundaries(t *testing.T) {
 	// element boundaries fuse — the hardest replay case, now spanning
 	// multiple tiles.
 	fused := MustIndexed([]int{1, 1, 1, 2}, []int{0, 2, 4, 6}, Int)
-	fused.Commit()
-	if fused.prog == nil || fused.prog.tiles == nil {
+	if !isTiled(fused, 2) {
 		t.Fatalf("expected a tiled program (regions=%d)", fused.NumBlocks())
 	}
-	if !fused.prog.fuse {
+	if !fused.fuse {
 		t.Fatal("expected fused element boundaries")
 	}
 	for count := 1; count <= 4; count++ {
@@ -189,8 +193,7 @@ func TestTiledReplayFusedBoundaries(t *testing.T) {
 
 	// Non-fused multi-tile replay: trailing padding keeps elements apart.
 	padded := MustResized(MustIndexed([]int{1, 1, 1}, []int{0, 2, 4}, Int), 0, 28)
-	padded.Commit()
-	if padded.prog == nil || padded.prog.tiles == nil {
+	if !isTiled(padded, 2) {
 		t.Fatal("expected a tiled program")
 	}
 	for count := 1; count <= 3; count++ {

@@ -55,7 +55,7 @@ func Fig02Latency() (*Table, error) {
 	echo := &spin.ExecutionContext{
 		Name: "echo",
 		Payload: func(a *spin.HandlerArgs) spin.Result {
-			a.DMA.Write(a.StreamOff, a.Payload, spin.NoEvent)
+			a.DMA.Write(a.StreamOff, a.Payload)
 			// Trivial handler: argument load, one destination computation,
 			// one DMA write command (~110 cycles at 800 MHz).
 			rt := 137 * sim.Nanosecond

@@ -8,7 +8,7 @@
 //     and the heuristic's ε. Commit goes through the session API: the
 //     library holds a core.Session, and each committed Type is backed by
 //     a persistent core.TypeHandle, so the expensive offload state
-//     (compiled block programs, dataloops, checkpoint sets, specialized
+//     (lowered plans, dataloops, checkpoint sets, specialized
 //     handlers) is built exactly once per handle and shared by every
 //     posted receive — no library-private build caches.
 //  2. Post — posting a receive instantiates the handle's offload state,

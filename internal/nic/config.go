@@ -60,7 +60,7 @@
 //   - Streamed: the send is functional (TxMessage.Src set, Packed nil, a
 //     TxProcessPut gather) and the paired receive leaves BatchMessage.Packed
 //     nil. Each packet's wire payload is a pooled MTU-sized chunk the
-//     gather handler fills on demand from the committed block program; at
+//     gather handler fills on demand through the committed layout; at
 //     injection the chunk moves into the destination receive's per-packet
 //     mailbox — strictly before the arrival event is posted, so the
 //     cross-domain synchronization window orders the hand-off — and the

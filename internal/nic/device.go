@@ -57,7 +57,6 @@ func (r Result) ThroughputGbps() float64 {
 type writeOp struct {
 	hostOff int64
 	data    []byte
-	flags   spin.WriteFlags
 }
 
 // writeBuffer collects the DMA writes of one handler execution. One buffer
@@ -65,8 +64,8 @@ type writeOp struct {
 // synchronously by scheduleWrites before the next run begins.
 type writeBuffer struct{ ops []writeOp }
 
-func (w *writeBuffer) Write(hostOff int64, data []byte, flags spin.WriteFlags) {
-	w.ops = append(w.ops, writeOp{hostOff: hostOff, data: data, flags: flags})
+func (w *writeBuffer) Write(hostOff int64, data []byte) {
+	w.ops = append(w.ops, writeOp{hostOff: hostOff, data: data})
 }
 
 // readOp is one buffered gather-handler DMA read.

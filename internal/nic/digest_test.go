@@ -172,7 +172,7 @@ func recvBatchCase(rdma bool, arrival string, overlap bool) func(*testing.T, int
 func streamingMsg(t *testing.T, cfg Config, bytes int64, start sim.Time) TxMessage {
 	var regions []IovecRegion
 	for off := int64(0); off < bytes; off += 256 {
-		regions = append(regions, IovecRegion{HostOff: 2 * off, Size: min(256, bytes-off)})
+		regions = append(regions, IovecRegion{Offset: 2 * off, Size: min(256, bytes-off)})
 	}
 	ready, cpu, n, err := StreamingSchedule(cfg, regions, 25*sim.Nanosecond)
 	if err != nil {
@@ -319,7 +319,7 @@ func sendPackedOne(t *testing.T, _ int) ([]any, [][]byte) {
 func sendStreamingOne(t *testing.T, _ int) ([]any, [][]byte) {
 	var regions []IovecRegion
 	for off := int64(0); off < 96<<10; off += 192 {
-		regions = append(regions, IovecRegion{HostOff: 3 * off, Size: 192})
+		regions = append(regions, IovecRegion{Offset: 3 * off, Size: 192})
 	}
 	res, err := SendStreaming(digestCfg(), regions, 30*sim.Nanosecond)
 	if err != nil {
@@ -329,8 +329,8 @@ func sendStreamingOne(t *testing.T, _ int) ([]any, [][]byte) {
 }
 
 func sendProcessPutOne(t *testing.T, _ int) ([]any, [][]byte) {
-	res, err := SendProcessPut(digestCfg(), 300<<10+1, func(pkt int, bytes int64) sim.Time {
-		return 200*sim.Nanosecond + sim.Time(bytes)*100 + sim.Time(pkt%3)*sim.Nanosecond
+	res, err := SendProcessPut(digestCfg(), 300<<10+1, func(a *spin.HandlerArgs) spin.Result {
+		return spin.Result{Runtime: 200*sim.Nanosecond + sim.Time(a.PktBytes)*100 + sim.Time(a.PktIndex%3)*sim.Nanosecond}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,15 +5,14 @@ import (
 	"fmt"
 
 	"spinddt/internal/fabric"
+	"spinddt/internal/plan"
 	"spinddt/internal/sim"
 )
 
 // IovecRegion is one scatter entry: Size bytes of the packed stream land at
-// HostOff in the receive buffer.
-type IovecRegion struct {
-	HostOff int64
-	Size    int64
-}
+// Offset in the receive buffer. It is the committed layout's region type,
+// so a type's Flatten is its scatter list.
+type IovecRegion = plan.Region
 
 // Typed event kinds of the iovec engine.
 var (
@@ -70,7 +69,7 @@ func (s *iovecSim) onArrival(slot int) {
 		if frag > remaining {
 			frag = remaining
 		}
-		s.dma.copyToHost(s.host, r.HostOff+s.regionDone, s.packed[streamPos:streamPos+frag])
+		s.dma.copyToHost(s.host, r.Offset+s.regionDone, s.packed[streamPos:streamPos+frag])
 		reqs++
 		bytes += frag
 		occ += s.cfg.IovecPerRegion

@@ -24,7 +24,7 @@ func passthroughCtx(runtime sim.Time, policy spin.Policy) *spin.ExecutionContext
 	return &spin.ExecutionContext{
 		Name: "passthrough",
 		Payload: func(a *spin.HandlerArgs) spin.Result {
-			a.DMA.Write(a.StreamOff, a.Payload, spin.NoEvent)
+			a.DMA.Write(a.StreamOff, a.Payload)
 			return spin.Result{
 				Runtime:   runtime,
 				Breakdown: spin.Breakdown{Init: runtime / 4, Processing: runtime - runtime/4},
@@ -299,7 +299,7 @@ func TestDMAQueueStats(t *testing.T) {
 		Payload: func(a *spin.HandlerArgs) spin.Result {
 			n := int64(len(a.Payload)) / 16
 			for i := int64(0); i < 16; i++ {
-				a.DMA.Write(a.StreamOff+i*n, a.Payload[i*n:(i+1)*n], spin.NoEvent)
+				a.DMA.Write(a.StreamOff+i*n, a.Payload[i*n:(i+1)*n])
 			}
 			return spin.Result{Runtime: 500 * sim.Nanosecond}
 		},
@@ -364,7 +364,7 @@ func TestIovecScatter(t *testing.T) {
 	// 64 B blocks, 128 B stride.
 	var regions []IovecRegion
 	for off := int64(0); off < int64(len(packed)); off += 64 {
-		regions = append(regions, IovecRegion{HostOff: off * 2, Size: 64})
+		regions = append(regions, IovecRegion{Offset: off * 2, Size: 64})
 	}
 	res, err := ReceiveIovec(cfg, regions, packed, host)
 	if err != nil {
@@ -372,7 +372,7 @@ func TestIovecScatter(t *testing.T) {
 	}
 	for i, r := range regions {
 		src := packed[int64(i)*64 : int64(i)*64+64]
-		if !bytes.Equal(host[r.HostOff:r.HostOff+64], src) {
+		if !bytes.Equal(host[r.Offset:r.Offset+64], src) {
 			t.Fatalf("region %d corrupted", i)
 		}
 	}
@@ -392,7 +392,7 @@ func TestIovecStallsSlowItDown(t *testing.T) {
 	mkRegions := func(block int64) []IovecRegion {
 		var rs []IovecRegion
 		for off := int64(0); off < int64(len(packed)); off += block {
-			rs = append(rs, IovecRegion{HostOff: off * 2, Size: block})
+			rs = append(rs, IovecRegion{Offset: off * 2, Size: block})
 		}
 		return rs
 	}
@@ -417,10 +417,10 @@ func TestIovecValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	packed := randPacked(100, 17)
 	host := make([]byte, 200)
-	if _, err := ReceiveIovec(cfg, []IovecRegion{{0, 50}}, packed, host); err == nil {
+	if _, err := ReceiveIovec(cfg, []IovecRegion{{Offset: 0, Size: 50}}, packed, host); err == nil {
 		t.Fatal("undercovering regions accepted")
 	}
-	if _, err := ReceiveIovec(cfg, []IovecRegion{{0, -1}}, packed, host); err == nil {
+	if _, err := ReceiveIovec(cfg, []IovecRegion{{Offset: 0, Size: -1}}, packed, host); err == nil {
 		t.Fatal("negative region accepted")
 	}
 	if _, err := ReceiveIovec(cfg, nil, nil, host); err == nil {

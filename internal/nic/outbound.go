@@ -72,20 +72,15 @@ func SendStreaming(cfg Config, regions []IovecRegion, findPerRegion sim.Time) (S
 }
 
 // SendProcessPut models outbound sPIN (Fig. 4, right; Sec. 3.1.2): a
-// PtlProcessPut creates the message packets on the NIC and runs a gather
+// PtlProcessPut creates the message packets on the NIC and runs the gather
 // handler for each one on the sender HPUs; handlers locate the packet's
 // source regions and stream them out. The sender CPU only issues the
-// control-plane operation. handlerTime gives the gather handler runtime
-// for packet i.
-func SendProcessPut(cfg Config, msgBytes int64, handlerTime func(pkt int, bytes int64) sim.Time) (SendResult, error) {
+// control-plane operation. The message has no source buffer, so gather
+// runs timing-only: its Payload is nil and its Runtime paces the packet.
+func SendProcessPut(cfg Config, msgBytes int64, gather spin.Handler) (SendResult, error) {
 	if msgBytes <= 0 {
 		return SendResult{}, errors.New("nic: empty message")
 	}
-	ctx := &spin.ExecutionContext{
-		Name: "outbound",
-		Payload: func(a *spin.HandlerArgs) spin.Result {
-			return spin.Result{Runtime: handlerTime(a.PktIndex, a.PktBytes)}
-		},
-	}
+	ctx := &spin.ExecutionContext{Name: "outbound", Payload: gather}
 	return sendOne(cfg, TxMessage{Kind: TxProcessPut, MsgBytes: msgBytes, Ctx: ctx})
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spinddt/internal/sim"
+	"spinddt/internal/spin"
 )
 
 func TestSendPackedPipelines(t *testing.T) {
@@ -31,7 +32,7 @@ func TestSendStreamingOverlapsCPUAndWire(t *testing.T) {
 	cfg := DefaultConfig()
 	var regions []IovecRegion
 	for i := 0; i < 1024; i++ {
-		regions = append(regions, IovecRegion{HostOff: int64(i) * 2048, Size: 1024})
+		regions = append(regions, IovecRegion{Offset: int64(i) * 2048, Size: 1024})
 	}
 	msg := int64(1024 * 1024)
 	// Fast CPU: wire-bound.
@@ -66,7 +67,7 @@ func TestSendStreamingBeatsPackAndSend(t *testing.T) {
 	// same per-region CPU cost.
 	var regions []IovecRegion
 	for i := 0; i < 2048; i++ {
-		regions = append(regions, IovecRegion{HostOff: int64(i) * 1024, Size: 512})
+		regions = append(regions, IovecRegion{Offset: int64(i) * 1024, Size: 512})
 	}
 	msg := int64(2048 * 512)
 	perRegion := 50 * sim.Nanosecond
@@ -87,8 +88,8 @@ func TestSendStreamingBeatsPackAndSend(t *testing.T) {
 func TestSendProcessPutUsesHPUsNotCPU(t *testing.T) {
 	cfg := DefaultConfig()
 	msg := int64(1 << 20)
-	res, err := SendProcessPut(cfg, msg, func(pkt int, bytes int64) sim.Time {
-		return 500 * sim.Nanosecond
+	res, err := SendProcessPut(cfg, msg, func(*spin.HandlerArgs) spin.Result {
+		return spin.Result{Runtime: 500 * sim.Nanosecond}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +115,7 @@ func TestSendProcessPutHPUBound(t *testing.T) {
 	cfg.HPUs = 1
 	msg := int64(64 * 2048)
 	handler := 5 * sim.Microsecond
-	res, err := SendProcessPut(cfg, msg, func(int, int64) sim.Time { return handler })
+	res, err := SendProcessPut(cfg, msg, func(*spin.HandlerArgs) spin.Result { return spin.Result{Runtime: handler} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestSendValidation(t *testing.T) {
 	if _, err := SendStreaming(cfg, nil, 0); err == nil {
 		t.Fatal("no regions accepted")
 	}
-	if _, err := SendStreaming(cfg, []IovecRegion{{0, 0}}, 0); err == nil {
+	if _, err := SendStreaming(cfg, []IovecRegion{{Offset: 0, Size: 0}}, 0); err == nil {
 		t.Fatal("empty region accepted")
 	}
 	if _, err := SendProcessPut(cfg, 0, nil); err == nil {
@@ -139,7 +140,7 @@ func TestSendValidation(t *testing.T) {
 	}
 	bad := cfg
 	bad.HPUs = 0
-	if _, err := SendProcessPut(bad, 100, func(int, int64) sim.Time { return 0 }); err == nil {
+	if _, err := SendProcessPut(bad, 100, func(*spin.HandlerArgs) spin.Result { return spin.Result{} }); err == nil {
 		t.Fatal("zero HPUs accepted")
 	}
 }

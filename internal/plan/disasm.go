@@ -44,8 +44,8 @@ func (p *Plan) Disassemble() string {
 	return b.String()
 }
 
-// Disassemble renders the gather resolver deterministically, one line per
-// instruction — the sender-side half of the plan snapshot goldens.
+// Disassemble renders the resolver deterministically, one line per
+// instruction — the resolver half of the plan snapshot goldens.
 func (g *Gather) Disassemble() string {
 	var b strings.Builder
 	switch g.kind {
@@ -58,14 +58,14 @@ func (g *Gather) Disassemble() string {
 		fmt.Fprintf(&b, "  hostOff = (b/%d)*%d + (b%%%d)*%d + within\n",
 			g.perElem, g.extent, g.perElem, g.stride)
 	default:
-		fmt.Fprintf(&b, "gather list regions=%d searchSteps=%d\n", len(g.hostOff), g.searchSteps)
-		for i := range g.hostOff {
+		fmt.Fprintf(&b, "gather list regions=%d searchSteps=%d\n", len(g.regions), g.searchSteps)
+		for i, r := range g.regions {
 			if int64(i) == maxDisasmRegions {
-				fmt.Fprintf(&b, "  ... %d more regions\n", len(g.hostOff)-i)
+				fmt.Fprintf(&b, "  ... %d more regions\n", len(g.regions)-i)
 				return b.String()
 			}
 			fmt.Fprintf(&b, "  region stream+%d <- host[%d,%d)\n",
-				g.streamStart[i], g.hostOff[i], g.hostOff[i]+g.size[i])
+				g.streamStart[i], r.Offset, r.Offset+r.Size)
 		}
 	}
 	return b.String()

@@ -1,18 +1,20 @@
-// Package plan lowers committed block programs into specialized execution
-// plans — the codegen layer of the datatype engine. The block program
-// (internal/ddt, program.go) is a one-IR-many-consumers design; before this
-// package every consumer *interpreted* it through per-region callbacks.
-// Lowering happens once, at ddt.Commit / Session.Commit, and every hot
-// consumer — ddt.Pack/Unpack/PackInto, MemBackend, UDPBackend and the
-// txDevice gather resolver — dispatches to the selected kernel instead.
+// Package plan owns the committed layout of a datatype and lowers it into
+// specialized execution plans — the codegen layer of the datatype engine.
+// Lowering happens once, at ddt.Commit / Session.Commit. Every consumer of
+// the layout reads it from here: ddt.ForEachBlock and Flatten replay the
+// plan's region program, ddt.Pack/Unpack/PackInto, MemBackend and
+// UDPBackend dispatch to its kernels, and both sPIN handlers run its
+// resolver.
 //
 // # Plan IR
 //
 // The lowering input is a Program: the merged contiguous Regions of ONE
 // element in typemap order (split into bounded tiles for pathological
 // region counts; a flat program is a single tile), the cross-element fusion
-// bit, and the element's packed size and extent. Lower selects exactly one
-// of three plan kinds:
+// bit, and the element's packed size and extent. The Plan keeps that
+// region program — ForEach replays it for any element count, fusing the
+// last region of element i with the first of element i+1 when the bit is
+// set — and Lower selects exactly one of three kernel kinds:
 //
 //   - Contig: a single region per element fusing across every boundary —
 //     the whole message is one run, executed as a single memmove.
@@ -50,15 +52,18 @@
 // Equal verifies a wire stream against the source image region by region
 // without materializing a reference pack.
 //
-// # Gather plans
+// # Resolvers
 //
-// Gather is the sender-side mirror: the txDevice resolver state that maps
-// a packet's stream offset to its contiguous host source regions
-// (contiguous / vector arithmetic in O(1), offset list with binary search
-// otherwise). Constructors take the classification explicitly — the core
-// layer keeps its Normalize-based selection — and Resolve reproduces the
-// resolver arithmetic of the previous interpreter exactly, so simulated
-// timing and DMA accounting are unchanged.
+// Gather is the per-packet resolver of a committed message: it maps a
+// packet's stream offset to the packet's contiguous host regions
+// (contiguous / vector arithmetic in O(1), an offset list with a binary
+// search otherwise) and serves both directions of the offload through one
+// region walk. Resolve gathers an outgoing packet through a Reader — the
+// sender NIC's PtlProcessPut handler — and Scatter stores an arrived
+// packet through a Writer — the receiver's specialized handler. Both
+// report the regions they touched, which is what the handlers' cost model
+// charges. Constructors take the classification explicitly; the core
+// layer keeps its Normalize-based selection.
 //
 // Every plan renders a deterministic Disassemble listing; the snapshot
 // goldens in testdata/golden/plans.txt (make plans-golden) pin one

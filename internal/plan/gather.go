@@ -5,11 +5,19 @@ import (
 	"sort"
 )
 
-// Reader is the gather kernels' host read path. spin.DMAReader satisfies
-// it, so the txDevice handlers pass their DMA engine straight through.
+// Reader is the gather direction's host read path. spin.DMAReader
+// satisfies it, so the send handlers pass their DMA engine straight through.
 type Reader interface {
 	// Read fetches len(dst) bytes at hostOff from the source buffer.
 	Read(hostOff int64, dst []byte)
+}
+
+// Writer is the scatter direction's host write path. spin.DMAWriter
+// satisfies it, so the receive handlers pass their DMA engine straight
+// through.
+type Writer interface {
+	// Write stores data at hostOff in the destination buffer.
+	Write(hostOff int64, data []byte)
 }
 
 // GatherKind identifies a gather plan's resolver family.
@@ -37,10 +45,12 @@ func (k GatherKind) String() string {
 	}
 }
 
-// Gather is the sender-side lowered plan: the resolver state that maps a
-// packet's stream offset to its contiguous host source regions. It is the
-// state a PtlProcessPut references on the sender NIC — immutable after
-// construction, shared by every message of the committed layout.
+// Gather is the resolver of a committed layout: it maps a packet's stream
+// offset to the packet's contiguous host regions, in both directions —
+// Resolve gathers an outgoing packet from them, Scatter stores an arrived
+// packet into them. It is the state a PtlProcessPut references on the
+// sender NIC and the specialized handler's state on the receiver NIC —
+// immutable after construction, shared by every message of the layout.
 type Gather struct {
 	kind GatherKind
 
@@ -51,9 +61,9 @@ type Gather struct {
 	perElem   int64
 	extent    int64
 
-	// List state: regions in stream order plus their stream positions.
-	hostOff     []int64
-	size        []int64
+	// List state: the message's regions in stream order plus the stream
+	// position of each.
+	regions     []Region
 	streamStart []int64
 	searchSteps int
 }
@@ -70,22 +80,21 @@ func NewVectorGather(blockSize, stride, perElem, extent int64) *Gather {
 	return &Gather{kind: GatherVector, blockSize: blockSize, stride: stride, perElem: perElem, extent: extent}
 }
 
-// NewListGather returns the offset-list resolver. hostOff and size list the
-// merged regions of the full message in stream order; the stream positions
-// are derived here. The slices are retained.
-func NewListGather(hostOff, size []int64) *Gather {
-	streamStart := make([]int64, len(size))
+// NewListGather returns the offset-list resolver. regions lists the merged
+// regions of the full message in stream order; the stream positions are
+// derived here. The slice is retained.
+func NewListGather(regions []Region) *Gather {
+	streamStart := make([]int64, len(regions))
 	var pos int64
-	for i, s := range size {
+	for i, r := range regions {
 		streamStart[i] = pos
-		pos += s
+		pos += r.Size
 	}
 	return &Gather{
 		kind:        GatherList,
-		hostOff:     hostOff,
-		size:        size,
+		regions:     regions,
 		streamStart: streamStart,
-		searchSteps: bits.Len(uint(len(streamStart))),
+		searchSteps: bits.Len(uint(len(regions))),
 	}
 }
 
@@ -101,46 +110,49 @@ func (g *Gather) SearchSteps() int { return g.searchSteps }
 // payload resolves region addresses without issuing reads (the simulator's
 // timing-only mode).
 func (g *Gather) Resolve(streamOff, pktBytes int64, payload []byte, r Reader) int64 {
-	if g.kind == GatherList {
-		return g.resolveList(streamOff, pktBytes, payload, r)
-	}
-	var blocks int64
-	consumed := int64(0)
-	for consumed < pktBytes {
-		pos := streamOff + consumed
-		b := pos / g.blockSize
-		within := pos % g.blockSize
-		hostOff := (b/g.perElem)*g.extent + (b%g.perElem)*g.stride + within
-		n := g.blockSize - within
-		if n > pktBytes-consumed {
-			n = pktBytes - consumed
-		}
-		if payload != nil {
-			r.Read(hostOff, payload[consumed:consumed+n])
-		}
-		consumed += n
-		blocks++
-	}
-	return blocks
+	return g.walk(streamOff, pktBytes, payload, r, nil)
 }
 
-func (g *Gather) resolveList(streamOff, pktBytes int64, payload []byte, r Reader) int64 {
-	end := streamOff + pktBytes
-	i := sort.Search(len(g.streamStart), func(k int) bool {
-		return g.streamStart[k] > streamOff
-	}) - 1
+// Scatter stores one arrived packet's payload into its contiguous
+// destination regions through w, returning the number of regions touched.
+func (g *Gather) Scatter(streamOff int64, payload []byte, w Writer) int64 {
+	return g.walk(streamOff, int64(len(payload)), payload, nil, w)
+}
+
+// walk visits the regions of stream bytes [streamOff, streamOff+n): one
+// arithmetic or list step per region, then, given a payload, a read of the
+// region's slice through r or, when r is nil, a write through w.
+func (g *Gather) walk(streamOff, n int64, payload []byte, r Reader, w Writer) int64 {
+	list := g.kind == GatherList
+	i := 0
+	if list {
+		i = sort.Search(len(g.streamStart), func(k int) bool {
+			return g.streamStart[k] > streamOff
+		}) - 1
+	}
 	var blocks int64
-	for pos := streamOff; pos < end; i++ {
-		within := pos - g.streamStart[i]
-		n := g.size[i] - within
-		if n > end-pos {
-			n = end - pos
+	for done := int64(0); done < n; blocks++ {
+		pos := streamOff + done
+		var hostOff, run int64
+		if list {
+			within := pos - g.streamStart[i]
+			hostOff, run = g.regions[i].Offset+within, g.regions[i].Size-within
+			i++
+		} else {
+			b := pos / g.blockSize
+			within := pos % g.blockSize
+			hostOff = (b/g.perElem)*g.extent + (b%g.perElem)*g.stride + within
+			run = g.blockSize - within
 		}
-		if payload != nil {
-			r.Read(g.hostOff[i]+within, payload[pos-streamOff:pos-streamOff+n])
+		run = min(run, n-done)
+		switch {
+		case payload == nil:
+		case r != nil:
+			r.Read(hostOff, payload[done:done+run])
+		default:
+			w.Write(hostOff, payload[done:done+run])
 		}
-		pos += n
-		blocks++
+		done += run
 	}
 	return blocks
 }

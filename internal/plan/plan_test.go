@@ -220,18 +220,32 @@ func (s sliceReader) Read(hostOff int64, dst []byte) {
 	copy(dst, s[hostOff:hostOff+int64(len(dst))])
 }
 
+// sliceWriter writes into an in-memory host buffer — the test double of
+// the DMA write path.
+type sliceWriter []byte
+
+func (s sliceWriter) Write(hostOff int64, data []byte) {
+	copy(s[hostOff:hostOff+int64(len(data))], data)
+}
+
 // gatherRef packs the whole message through pl (the receive-side kernels,
-// already differential-tested) to serve as the gather oracle.
+// already differential-tested) to serve as the gather oracle, and unpacks
+// it through pl to serve as the scatter oracle: every packet resolved from
+// host is scattered back into a zeroed buffer, touching the same number of
+// regions in both directions.
 func gatherRef(t *testing.T, g *Gather, pl *Plan, count int, host []byte, msgSize int64) {
 	t.Helper()
 	want := make([]byte, msgSize)
 	pl.Pack(count, host, want)
+	wantScatter := make([]byte, len(host))
+	pl.Unpack(count, want, wantScatter)
 
 	for _, pkt := range []int64{1, 3, 7, 16, 64, msgSize} {
 		if pkt <= 0 || pkt > msgSize {
 			continue
 		}
 		got := make([]byte, msgSize)
+		scattered := make([]byte, len(host))
 		var blocks int64
 		for off := int64(0); off < msgSize; off += pkt {
 			n := pkt
@@ -243,10 +257,16 @@ func gatherRef(t *testing.T, g *Gather, pl *Plan, count int, host []byte, msgSiz
 			if tb := g.Resolve(off, n, nil, nil); tb != b {
 				t.Fatalf("timing-only resolve %d blocks, payload resolve %d", tb, b)
 			}
+			if sb := g.Scatter(off, got[off:off+n], sliceWriter(scattered)); sb != b {
+				t.Fatalf("%v scatter of packet %d+%d touched %d blocks, gather %d", g.Kind(), off, n, sb, b)
+			}
 			blocks += b
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%v gather (pkt=%d) differs from pack reference", g.Kind(), pkt)
+		}
+		if !bytes.Equal(scattered, wantScatter) {
+			t.Fatalf("%v scatter (pkt=%d) differs from unpack reference", g.Kind(), pkt)
 		}
 		if blocks <= 0 {
 			t.Fatalf("%v gather resolved %d blocks", g.Kind(), blocks)
@@ -287,14 +307,11 @@ func TestGatherResolveMatchesPack(t *testing.T) {
 	t.Run("list", func(t *testing.T) {
 		// Irregular regions of the FULL message (2 elements pre-expanded).
 		regions := []Region{{3, 5}, {16, 11}, {40, 2}, {64, 33}, {103, 5}, {116, 11}, {140, 2}, {164, 33}}
-		var hostOff, size []int64
 		var total int64
 		for _, r := range regions {
-			hostOff = append(hostOff, r.Offset)
-			size = append(size, r.Size)
 			total += r.Size
 		}
-		g := NewListGather(hostOff, size)
+		g := NewListGather(regions)
 		if g.Kind() != GatherList {
 			t.Fatalf("kind %v", g.Kind())
 		}
@@ -334,7 +351,7 @@ func TestDisassembleDeterministic(t *testing.T) {
 		t.Error("disassembly not deterministic")
 	}
 
-	g := NewListGather([]int64{0, 16}, []int64{8, 8})
+	g := NewListGather([]Region{{0, 8}, {16, 8}})
 	if got := g.Disassemble(); !strings.Contains(got, "gather list regions=2") ||
 		!strings.Contains(got, "region stream+8 <- host[16,24)") {
 		t.Errorf("list gather disassembly:\n%s", got)

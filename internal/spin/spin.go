@@ -14,23 +14,14 @@ import (
 	"spinddt/internal/sim"
 )
 
-// WriteFlags control a handler-issued DMA write.
-type WriteFlags int
-
-const (
-	// NoEvent suppresses the host completion event for this write (the
-	// paper's NO_EVENT extension to PtlHandlerDMAToHostNB); payload
-	// handlers always use it so only the completion handler's final write
-	// signals the host.
-	NoEvent WriteFlags = 1 << iota
-)
-
 // DMAWriter is the handlers' fire-and-forget path to host memory
 // (PtlHandlerDMAToHostNB). Implementations copy the data into the host
-// buffer and account the request in the simulated DMA engine.
+// buffer and account the request in the simulated DMA engine. Every
+// payload-handler write carries the paper's NO_EVENT semantics: no host
+// event fires, so only the completion handler signals the host.
 type DMAWriter interface {
 	// Write stores data at hostOff in the destination buffer.
-	Write(hostOff int64, data []byte, flags WriteFlags)
+	Write(hostOff int64, data []byte)
 }
 
 // DMAReader is the gather handlers' path from host memory into NIC memory

@@ -1,5 +1,5 @@
 // Package transport is the reliable UDP wire underneath core.UDPBackend:
-// it moves committed-block-program exchanges between OS processes over an
+// it moves committed-datatype exchanges between OS processes over an
 // unreliable packet network and survives loss, reordering, duplication and
 // corruption. Everything above it (the session API, the backends) deals in
 // whole messages; everything below it is any net.PacketConn — a kernel UDP

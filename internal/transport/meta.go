@@ -9,9 +9,9 @@ import (
 )
 
 // WireMeta is the exchange-format header of one message: how the receiver
-// scatters the packed payload. It is the committed block program's wire
-// form — the ddt-encoded constructor tree the receiver decodes, commits
-// (compiling the block program) and replays with Unpack — or, for the
+// scatters the packed payload. It is the committed datatype's wire form —
+// the ddt-encoded constructor tree the receiver decodes, commits (lowering
+// its plan) and replays with Unpack — or, for the
 // non-processing path, a plain destination offset.
 type WireMeta struct {
 	// Type is the scatter datatype; nil selects the contiguous

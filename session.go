@@ -10,7 +10,7 @@ import (
 // rebuilding the offload state.
 //
 //	sess := spinddt.NewSession(spinddt.NewSessionConfig())
-//	col, _ := sess.Commit(columnType)       // block program + offload state, once
+//	col, _ := sess.Commit(columnType)       // plan + offload state, once
 //	ep := sess.Endpoint(spinddt.EndpointConfig{})
 //	for rank := 0; rank < peers; rank++ {   // an alltoall's receive side
 //		futures[rank], _ = ep.Post(col, 1, spinddt.PostOpts{Seed: int64(rank + 1)})
@@ -26,7 +26,7 @@ import (
 // produce byte-identical results to earlier releases.
 //
 // The device model is symmetric (the sPIN offload builds packets with the
-// same committed block program the receiver scatters with), and so is the
+// same resolver the receiver scatters with), and so is the
 // endpoint: Send posts an outbound message against a handle and
 // FlushSends runs every pending send through ONE shared outbound device —
 // gather handlers contend for the endpoint's HPUs, the host read path and
@@ -98,7 +98,7 @@ type (
 type CommitOpts = core.CommitOpts
 
 // Backend executes the data movement of posted messages. The exchange
-// format is the committed datatype's compiled block program: SimBackend
+// format is the committed datatype's plan (its region program): SimBackend
 // (the default) replays it through the simulated sPIN NIC's offload
 // state, MemBackend executes it directly on host memory — the first
 // non-simulated backend and the differential-testing oracle. Custom
@@ -114,8 +114,8 @@ type (
 
 // UDPBackend executes posted messages over a real wire: gather on the
 // sender, reliable UDP transport (sliding-window ARQ, selective acks,
-// RTO backoff — internal/transport), scatter on the receiver from the
-// block program decoded off the wire. NewUDPBackend opens the socket
+// RTO backoff — internal/transport), scatter on the receiver through the
+// datatype decoded off the wire. NewUDPBackend opens the socket
 // pair; UDPConfig selects the network ("udp" or the in-memory "pipe"),
 // tunes the transport, and optionally injects seeded faults. Close the
 // backend (or the owning Session) to release the sockets.

@@ -7,12 +7,12 @@
 //
 //   - Datatypes: the MPI derived-datatype constructors (Vector, Indexed,
 //     Struct, Subarray, ...), their typemap algebra and reference
-//     Pack/Unpack. Committing a datatype compiles its flat (or, above the
-//     region cap, tiled) block program — the exchange format every layer
-//     below consumes — and lowers it once into an execution plan
-//     (internal/plan): a contiguous memmove, a strided wide-move kernel,
-//     or the general offset list, selected at commit and reused by every
-//     pack, unpack, wire verification and transport checksum afterwards.
+//     Pack/Unpack. Committing a datatype lowers its typemap once into an
+//     execution plan (internal/plan) that owns the region program — the
+//     exchange format every layer below consumes — and selects a
+//     contiguous memmove, a strided wide-move kernel or the general offset
+//     list, reused by every pack, unpack, wire verification and transport
+//     checksum afterwards.
 //   - Sessions and handles: NewSession owns a Backend plus the offload
 //     build caches; Session.Commit returns a persistent TypeHandle whose
 //     strategy state (specialized handlers, checkpoint sets, offset lists)
@@ -27,12 +27,12 @@
 //     the send side, Endpoint.Send enqueues outbound messages and
 //     FlushSends runs them through one shared outbound device, where
 //     sPIN gather handlers execute the lowered gather resolver (contig /
-//     vector arithmetic / offset-list binary search) of the same committed
-//     block program the receiver scatters with. Either way, real exchanges (alltoall, halo)
+//     vector arithmetic / offset-list binary search) the receiver's
+//     specialized handler scatters with. Either way, real exchanges (alltoall, halo)
 //     contend for the device — HPUs, DMA/host-read paths, wire, NIC
 //     memory — the way real traffic does. The Backend interface decides
 //     what executes a flush or a coupled transfer: SimBackend replays
-//     block programs through the modeled 200 Gbit/s sPIN NIC, MemBackend
+//     committed plans through the modeled 200 Gbit/s sPIN NIC, MemBackend
 //     executes them directly on host memory (the differential-testing
 //     oracle for both directions); custom backends plug in the same way.
 //   - Strategies and one-shot runs: the paper's datatype-processing
