@@ -2,8 +2,11 @@
 #
 # CI (.github/workflows/ci.yml) runs these as separate jobs:
 #
-#   lint         gofmt -l (must print nothing), go vet, staticcheck, and
-#                vet + test of the separate bench/ module
+#   lint         gofmt -l (must print nothing), go vet, staticcheck,
+#                `GOOS=darwin go vet` of transport and server plus
+#                `GOOS=windows go build ./...` (the non-Linux,
+#                per-datagram wire keeps compiling), and vet + test of
+#                the separate bench/ module
 #   test         build + test
 #   race         `make race` — includes nic/loggops/fabric now that
 #                shards execute those models concurrently, and the
@@ -46,8 +49,8 @@ BENCH_DATE := $(shell date +%F)
 # handle reuse + the batched alltoall endpoint pass), the symmetric
 # device model (sender-side handle reuse + the sharded halo exchanges
 # at 8 and 64 ranks), the reliable transport's steady-state message
-# rate (over the in-memory pipe, and over loopback UDP where the
-# per-datagram syscalls show), the session daemon's full client-session cycle
+# rate (over the in-memory pipe, and over loopback UDP where the wire's
+# syscalls show), the session daemon's full client-session cycle
 # (open/commit/post/flush/close over the in-memory pipe), and the lowered
 # execution-plan kernels (pack/unpack and gather resolve per plan kind).
 BENCH_CORE := BenchmarkSimulationRWCP1MiB|BenchmarkSimulationSpecialized1MiB|BenchmarkDDTPackUnpack|BenchmarkEventEngine|BenchmarkSimulationClusterSerial|BenchmarkSimulationSharded|BenchmarkSessionPostReuse|BenchmarkAlltoall8|BenchmarkSessionSendReuse|BenchmarkHaloExchange8|BenchmarkHaloExchange64|BenchmarkHaloExchange256|BenchmarkOffloadInstantiate|BenchmarkTransportThroughput|BenchmarkTransportUDP|BenchmarkServerThroughput|BenchmarkPlanPack|BenchmarkPlanGather

@@ -110,7 +110,7 @@ func sendWire(addr string, typ *ddt.Type, count, nmsgs int, session uint32, seed
 	fmt.Fprintf(out, "sent %d x %d bytes (%s count=%d) in %v: %.1f Mbit/s\n",
 		nmsgs, len(packed), typ.Signature(), count, elapsed.Round(time.Millisecond),
 		float64(total*8)/elapsed.Seconds()/1e6)
-	fmt.Fprintf(out, "transport: %d data frames, %d retransmitted, %d acks received\n",
-		st.DataSent, st.Retransmits, st.AcksReceived)
+	fmt.Fprintf(out, "transport: %d data frames, %d retransmitted, %d acks received; %d write and %d read calls\n",
+		st.DataSent, st.Retransmits, st.AcksReceived, st.WriteCalls, st.ReadCalls)
 	return nil
 }

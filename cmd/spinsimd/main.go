@@ -92,5 +92,7 @@ func serve(conn net.PacketConn, cfg server.Config, stop <-chan os.Signal, out io
 	srv.Close()
 	fmt.Fprintf(out, "spinsimd: %d sessions served (%d still open, %d reaped), %d requests, %d rejections\n",
 		st.Opened, st.Open, st.Reaped, st.Requests, st.Rejections)
+	fmt.Fprintf(out, "spinsimd: transport %d data frames and %d acks sent; %d write and %d read calls\n",
+		st.Transport.DataSent, st.Transport.AcksSent, st.Transport.WriteCalls, st.Transport.ReadCalls)
 	return nil
 }

@@ -74,6 +74,9 @@ type Stats struct {
 	Reaped     int64 // sessions closed by the idle reaper
 	Requests   int64 // requests dispatched
 	Rejections int64 // typed rejections returned
+	// Transport is the daemon socket's wire counters: frames, acks and
+	// the conn calls that carried them.
+	Transport transport.Stats
 }
 
 // Server is the spinsimd daemon: one transport endpoint demultiplexing
@@ -164,6 +167,7 @@ func (s *Server) Stats() Stats {
 		Reaped:     s.stats.reaped.Load(),
 		Requests:   s.stats.requests.Load(),
 		Rejections: s.stats.rejections.Load(),
+		Transport:  s.ep.Stats(),
 	}
 }
 

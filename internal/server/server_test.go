@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -118,6 +119,54 @@ func TestServerLifecycle(t *testing.T) {
 	if st.Opened != 1 || st.Closed != 1 || st.Open != 0 {
 		t.Fatalf("stats after close: %+v", st)
 	}
+}
+
+// TestServerBatchedReads pins the daemon's side of the batched wire: a
+// served 64 KiB PostPacked and its Flush cost the daemon's socket fewer
+// than ten reads (one read per datagram would be about fifty), as its
+// Stats report.
+func TestServerBatchedReads(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("UDP GRO is a Linux socket option")
+	}
+	// An RTO far above the loopback round trip keeps spurious
+	// retransmissions out of the count.
+	quiet := transport.Config{RTOMin: 250 * time.Millisecond, RTOMax: time.Second}
+	srv, addr := startServer(t, server.Config{Transport: quiet}, nil)
+	c, err := client.Dial(addr, 5, client.Config{Transport: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := c.Open(); err != nil {
+		t.Fatal(err)
+	}
+	typ := ddt.MustVector(256, 64, 128, ddt.Int)
+	h, err := c.Commit(typ, core.RWCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := make([]byte, typ.Size())
+	for i := range packed {
+		packed[i] = byte(i * 17)
+	}
+
+	before := srv.Stats().Transport
+	if _, err := c.PostPacked(h, 1, packed); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := c.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Status != server.StatusOK || !recs[0].Verified || recs[0].Bytes != 64<<10 {
+		t.Fatalf("flush records %+v", recs)
+	}
+	after := srv.Stats().Transport
+	if reads, msgs := after.ReadCalls-before.ReadCalls, after.MsgsReceived-before.MsgsReceived; reads >= 10 || msgs != 2 {
+		t.Fatalf("daemon took %d requests in %d reads; want 2 requests in fewer than 10", msgs, reads)
+	}
+	t.Logf("daemon: 2 requests in %d reads, %d acks sent", after.ReadCalls-before.ReadCalls, after.AcksSent-before.AcksSent)
 }
 
 // TestServerTypedRejections pins every server-side rejection to its

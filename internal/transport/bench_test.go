@@ -17,8 +17,9 @@ func BenchmarkTransportThroughput(b *testing.B) {
 
 // BenchmarkTransportUDP is BenchmarkTransportThroughput over two kernel
 // UDP loopback sockets. The pipe makes no syscalls, so only this variant
-// sees the per-datagram send and receive cost that frame and ack counts
-// drive. Part of the BENCH_CORE perf gate.
+// sees the wire's syscall cost: on Linux one GSO write per window burst,
+// one GRO read per batch and one ack per batch. Part of the BENCH_CORE
+// perf gate.
 func BenchmarkTransportUDP(b *testing.B) {
 	a, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {

@@ -40,6 +40,17 @@
 // A frame whose checksum does not match its contents is dropped on
 // receipt — corruption degrades to loss, and the ARQ below recovers it.
 //
+// A data frame's total-frame count is a claim the receiver cannot check
+// until the message completes, so it never sizes what the receiver
+// holds. No correct sender transmits a frame Window or more past its
+// lowest unacked frame, and that frame is never above the receiver's
+// cumulative ack, so the receiver drops any data frame 33 (the largest
+// Window) or more frames past its cumulative ack. Its reassembly buffer
+// starts at min(frames, 66) chunks and doubles as the cumulative ack
+// advances. A forged frame claiming 2^31 frames therefore costs one
+// buffer of 66 chunks, not ~3 TB. A completed stream too short for its
+// own header length is dropped, never delivered.
+//
 // # Sessions and fan-out
 //
 // The session id is the demultiplexing key of a shared server socket:
@@ -71,8 +82,7 @@
 //
 // The newest frame in flight therefore always asks, and the sender never
 // waits for an ack it did not ask for, at any Window. The stride derives
-// from the sender's own Window, so the receiver needs no setting. A clean
-// 64 KiB message is 46 data frames and 6 acks.
+// from the sender's own Window, so the receiver needs no setting.
 //
 // The receiver acks a data frame when
 //
@@ -82,6 +92,14 @@
 //   - it is a duplicate: the sender is retransmitting, so its ack went
 //     missing;
 //   - it completes the message.
+//
+// The receiver decides per frame whether an ack is owed and sends the
+// acks per read batch (see Batching): at most one per message, carrying
+// the receive state after the whole batch, before the batch's completed
+// messages are delivered. A batch of one datagram acks exactly as its
+// frame alone calls for. A clean 64 KiB message is 46 data frames either
+// way; over the Pipe it draws 6 acks (frames 7, 15, 23, 31, 39 and the
+// final 45), over a batched UDP socket 2 (one per window burst).
 //
 // Every ack carries the full receive state: seq is the cumulative ack
 // (every frame below it has been received) and aux is a selective-ack
@@ -110,6 +128,32 @@
 // retry budget. After Config.MaxRetries consecutive no-progress timeouts
 // the send fails with ErrTimeout — the bounded retry budget that surfaces
 // as a typed error from the session layer's Flush/FlushSends.
+//
+// # Batching
+//
+// On Linux, an endpoint over a kernel UDP socket (*net.UDPConn) moves a
+// window as one unit. Each window fill or retransmission pass encodes its
+// frames in ascending seq order into one buffer and hands it to the
+// kernel as a single UDP GSO send (UDP_SEGMENT, HeaderSize+MaxPayload
+// bytes per segment). Every frame but a message's last is full, and the
+// last sorts last, so the burst meets GSO's rule that only the final
+// segment may be short. The kernel cuts the burst into the same
+// datagrams a per-frame sender would write, so a peer that does not
+// batch reads them one by one. The receiving socket enables UDP_GRO, so
+// one read returns a run of same-size datagrams from one source; the
+// read loop splits it back into frames, and every frame still passes
+// DecodeFrame and the reassembly checks. Over loopback a 32-frame window
+// then costs one write and one read instead of 32 of each.
+//
+// A GSO send the kernel rejects with EIO, EINVAL or ENOPROTOOPT (no
+// checksum offload on the route, a segment above the path MTU) is resent
+// one datagram per call, and that socket sends per datagram from then
+// on; so does a socket whose kernel has no UDP_SEGMENT option at all. Every other conn moves one datagram
+// per call: the Pipe, a FaultConn (so each injected fault hits exactly
+// one frame and the loss matrix stays comparable) and any socket off
+// Linux. Stats.WriteCalls and Stats.ReadCalls count the conn calls, so a
+// silent fall back shows in the counters even when every message still
+// arrives.
 //
 // # Fault injection
 //

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,8 +33,8 @@ type Config struct {
 	// MaxPayload therefore fails with ErrTimeout and delivers nothing.
 	MaxPayload int
 	// Window is the per-message frames in flight (default 32, capped at
-	// 33 — the cumulative ack plus the 32-bit SACK bitmap). It also sets
-	// the sender's ack-request stride, max(1, Window/4) frames.
+	// maxWindow). It also sets the sender's ack-request stride,
+	// max(1, Window/4) frames.
 	Window int
 	// RTOMin/RTOMax clamp the retransmission timeout (defaults 2ms and
 	// 500ms).
@@ -47,7 +48,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxPayload <= 0 || c.MaxPayload > MaxPayloadSize {
 		c.MaxPayload = MaxPayloadSize
 	}
-	if c.Window <= 0 || c.Window > 33 {
+	if c.Window <= 0 || c.Window > maxWindow {
 		c.Window = 32
 	}
 	if c.RTOMin <= 0 {
@@ -62,6 +63,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxWindow caps Config.Window: an ack carries the cumulative ack plus a
+// 32-bit selective-ack bitmap beyond it. The receiver relies on the cap:
+// no correct sender transmits a frame maxWindow or more past the
+// receiver's cumulative ack.
+const maxWindow = 33
+
 // Stats counts an endpoint's wire activity; read it with Endpoint.Stats.
 type Stats struct {
 	DataSent      int64 // data frames transmitted (including retransmissions)
@@ -72,6 +79,12 @@ type Stats struct {
 	MsgsSent      int64 // sends completed successfully
 	MsgsReceived  int64 // messages fully reassembled and delivered
 	Timeouts      int64 // sends failed on the retry budget
+	// WriteCalls and ReadCalls count the conn calls the endpoint made. A
+	// burst sent with one GSO write or a batch taken with one GRO read
+	// counts once, as does each ack; on a per-datagram conn every frame
+	// counts.
+	WriteCalls int64
+	ReadCalls  int64
 }
 
 // Message is one fully reassembled inbound message. Hdr and Payload alias
@@ -79,7 +92,8 @@ type Stats struct {
 type Message struct {
 	Session uint32
 	ID      uint32
-	// From is the sender's observed address (reply-to for servers).
+	// From is the sender's observed address (reply-to for servers). It
+	// is read-only: messages from one peer may share it.
 	From net.Addr
 	// Hdr is the exchange-format header block (see EncodeWireMeta).
 	Hdr []byte
@@ -105,6 +119,7 @@ func (m *Message) Release() {
 // sender and receiver state. Endpoints are safe for concurrent use.
 type Endpoint struct {
 	conn    net.PacketConn
+	wire    wire
 	peer    net.Addr // Send destination; may be nil for receive-only use
 	session uint32
 	cfg     Config
@@ -123,6 +138,7 @@ type Endpoint struct {
 	stats struct {
 		dataSent, retransmits, acksSent, acksReceived atomic.Int64
 		corrupt, msgsSent, msgsReceived, timeouts     atomic.Int64
+		writeCalls, readCalls                         atomic.Int64
 	}
 
 	rtt struct {
@@ -159,6 +175,7 @@ const rxDoneCap = 1024
 func NewEndpoint(conn net.PacketConn, peer net.Addr, session uint32, cfg Config) *Endpoint {
 	e := &Endpoint{
 		conn:    conn,
+		wire:    newWire(conn),
 		peer:    peer,
 		session: session,
 		cfg:     cfg.withDefaults(),
@@ -200,6 +217,8 @@ func (e *Endpoint) Stats() Stats {
 		MsgsSent:      e.stats.msgsSent.Load(),
 		MsgsReceived:  e.stats.msgsReceived.Load(),
 		Timeouts:      e.stats.timeouts.Load(),
+		WriteCalls:    e.stats.writeCalls.Load(),
+		ReadCalls:     e.stats.readCalls.Load(),
 	}
 }
 
@@ -311,7 +330,7 @@ func (e *Endpoint) SendTo(dest net.Addr, session, id uint32, hdr, body []byte) e
 	}()
 
 	st.mu.Lock()
-	err := e.fillWindow(st)
+	err := e.sendWindow(st, false)
 	st.mu.Unlock()
 	if err != nil {
 		return err
@@ -344,7 +363,7 @@ func (e *Endpoint) SendTo(dest net.Addr, session, id uint32, hdr, body []byte) e
 					ErrTimeout, id, st.ackedN, st.frames, e.cfg.MaxRetries, time.Since(st.start).Round(time.Millisecond))
 			}
 			st.mu.Lock()
-			err := e.retransmitWindow(st)
+			err := e.sendWindow(st, true)
 			st.mu.Unlock()
 			if err != nil {
 				return err
@@ -357,31 +376,34 @@ func (e *Endpoint) SendTo(dest net.Addr, session, id uint32, hdr, body []byte) e
 	}
 }
 
-// fillWindow transmits never-sent frames while the window has room.
-// Called with st.mu held.
-func (e *Endpoint) fillWindow(st *txState) error {
-	for st.nextSend < st.frames && st.nextSend < st.base+e.cfg.Window {
-		if err := e.sendDataFrame(st, st.nextSend); err != nil {
-			return err
-		}
-		st.nextSend++
-	}
-	return nil
-}
-
-// retransmitWindow resends every unacked in-window frame (the RTO path).
-// Called with st.mu held.
-func (e *Endpoint) retransmitWindow(st *txState) error {
-	hi := min(st.nextSend, st.base+e.cfg.Window)
-	for i := st.base; i < hi; i++ {
-		if st.ackedBit(i) {
-			continue
-		}
-		if err := e.sendDataFrame(st, i); err != nil {
-			return err
+// sendWindow transmits one burst: with resend, every unacked in-window
+// frame (the RTO path), then the never-sent frames the window has room
+// for. Frames go in ascending seq order, so the only short frame, a
+// message's last, ends the burst, as a GSO send requires. Called with
+// st.mu held.
+func (e *Endpoint) sendWindow(st *txState, resend bool) error {
+	bp := burstPool.Get().(*[]byte)
+	defer burstPool.Put(bp)
+	buf := (*bp)[:0]
+	if resend {
+		for i := st.base; i < min(st.nextSend, st.base+e.cfg.Window); i++ {
+			if !st.ackedBit(i) {
+				buf = e.appendDataFrame(buf, st, i)
+			}
 		}
 	}
-	return e.fillWindow(st)
+	for ; st.nextSend < st.frames && st.nextSend < st.base+e.cfg.Window; st.nextSend++ {
+		buf = e.appendDataFrame(buf, st, st.nextSend)
+	}
+	if len(buf) == 0 {
+		return nil
+	}
+	calls, err := e.wire.writeBurst(buf, HeaderSize+st.chunk, st.dest)
+	e.stats.writeCalls.Add(int64(calls))
+	if err != nil && errors.Is(err, net.ErrClosed) {
+		return ErrClosed
+	}
+	return err
 }
 
 // wantsAck reports whether transmitting frame seq asks the receiver for
@@ -394,19 +416,17 @@ func (e *Endpoint) wantsAck(st *txState, seq int) bool {
 	return (seq+1)%max(1, w/4) == 0 || seq == st.base+w-1 || seq == st.frames-1 || st.txCount[seq] > 0
 }
 
-// sendDataFrame encodes and transmits frame seq of st. Called with st.mu
-// held.
-func (e *Endpoint) sendDataFrame(st *txState, seq int) error {
+// appendDataFrame encodes frame seq of st onto buf and counts its
+// transmission. Called with st.mu held.
+func (e *Endpoint) appendDataFrame(buf []byte, st *txState, seq int) []byte {
 	off := seq * st.chunk
 	n := min(st.chunk, st.total-off)
-	bp := getFrameBuf()
-	defer putFrameBuf(bp)
 	// Stage the payload where AppendFrame will place it; the append then
-	// self-copies in place, so one pooled buffer serves the whole frame.
-	buf := (*bp)[:0]
-	payload := buf[HeaderSize : HeaderSize+n]
+	// self-copies in place.
+	at := len(buf)
+	payload := buf[at+HeaderSize : at+HeaderSize+n]
 	st.streamAt(payload, off)
-	pkt := AppendFrame(buf, &Frame{
+	buf = AppendFrame(buf, &Frame{
 		Type: FrameData, AckReq: e.wantsAck(st, seq), Session: st.session, Message: st.id,
 		Seq: uint32(seq), Aux: uint32(st.frames), Payload: payload,
 	})
@@ -418,11 +438,7 @@ func (e *Endpoint) sendDataFrame(st *txState, seq int) error {
 	if st.txCount[seq] > 1 {
 		e.stats.retransmits.Add(1)
 	}
-	_, err := e.conn.WriteTo(pkt, st.dest)
-	if err != nil && errors.Is(err, net.ErrClosed) {
-		return ErrClosed
-	}
-	return err
+	return buf
 }
 
 // rto returns the current retransmission timeout estimate.
@@ -452,11 +468,18 @@ func (e *Endpoint) sampleRTT(rtt time.Duration) {
 	e.rtt.srtt += (rtt - e.rtt.srtt) / 8
 }
 
-// readLoop is the endpoint's single inbound dispatcher.
+// readBufSize holds the largest batch one read returns: UDP GRO
+// coalesces at most 64 KiB.
+const readBufSize = 64 << 10
+
+// readLoop is the endpoint's single inbound dispatcher. Each read is one
+// batch: every frame in it is handled, then the acks it owes go out and
+// the messages it completed are delivered.
 func (e *Endpoint) readLoop() {
-	buf := make([]byte, MaxFrameSize)
+	buf := make([]byte, readBufSize)
+	var b rxBatch
 	for {
-		n, from, err := e.conn.ReadFrom(buf)
+		n, seg, from, err := e.wire.readBatch(buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				continue
@@ -464,18 +487,30 @@ func (e *Endpoint) readLoop() {
 			close(e.deliver)
 			return
 		}
-		f, err := DecodeFrame(buf[:n])
-		if err != nil {
-			e.stats.corrupt.Add(1)
-			continue // corruption degrades to loss
+		e.stats.readCalls.Add(1)
+		for off := 0; ; off += seg {
+			e.handleFrame(buf[off:min(off+seg, n)], from, &b)
+			if off+seg >= n {
+				break
+			}
 		}
-		switch f.Type {
-		case FrameAck:
-			e.stats.acksReceived.Add(1)
-			e.handleAck(f)
-		case FrameData:
-			e.handleData(f, from)
-		}
+		e.flushBatch(&b, from)
+	}
+}
+
+// handleFrame decodes and dispatches one inbound frame of a batch.
+func (e *Endpoint) handleFrame(pkt []byte, from net.Addr, b *rxBatch) {
+	f, err := DecodeFrame(pkt)
+	if err != nil {
+		e.stats.corrupt.Add(1)
+		return // corruption degrades to loss
+	}
+	switch f.Type {
+	case FrameAck:
+		e.stats.acksReceived.Add(1)
+		e.handleAck(f)
+	case FrameData:
+		e.handleData(f, from, b)
 	}
 }
 
@@ -521,7 +556,7 @@ func (e *Endpoint) handleAck(f Frame) {
 		for st.base < st.frames && st.ackedBit(st.base) {
 			st.base++
 		}
-		e.fillWindow(st) // the window slid: keep the pipe full
+		e.sendWindow(st, false) // the window slid: keep the pipe full
 	}
 	st.mu.Unlock()
 
@@ -537,23 +572,44 @@ func (e *Endpoint) handleAck(f Frame) {
 	}
 }
 
-// rxState is the receiver side of one in-flight message.
+// rxState is the receiver side of one in-flight message. The sender
+// never runs maxWindow frames past cum, so the frames held out of order
+// fit one word, and the reassembly buffer grows with cum rather than
+// with the frame count the first frame claims.
 type rxState struct {
 	frames  int
 	chunk   int
-	have    []uint64
-	haveN   int
 	cum     int     // frames [0, cum) all received
-	buf     *[]byte // pooled reassembly buffer, frames*chunk bytes
+	ahead   uint64  // bit i set: frame cum+i received (bit 0 never is)
+	buf     *[]byte // pooled reassembly buffer, a whole number of chunks
 	lastLen int     // payload length of the final frame (0 = not yet seen)
 	from    net.Addr
 }
 
-func (r *rxState) haveBit(i int) bool { return r.have[i/64]&(1<<uint(i%64)) != 0 }
+// hold makes room for frame seq in the reassembly buffer, at least
+// doubling it, up to the whole message.
+func (r *rxState) hold(seq int) {
+	have := len(*r.buf) / r.chunk
+	if seq < have {
+		return
+	}
+	nb := getMsgBuf(min(max(seq+1, 2*have), r.frames) * r.chunk)
+	copy(*nb, *r.buf)
+	putMsgBuf(r.buf)
+	r.buf = nb
+}
 
-// handleData stores one data frame, acks it when the ack scheme calls
-// for one, and delivers the message when it completes.
-func (e *Endpoint) handleData(f Frame, from net.Addr) {
+// rxBatch is the read loop's state for one batch: the messages it owes
+// an ack, the messages it completed, and the ack encoding buffer.
+type rxBatch struct {
+	acks []rxKey
+	done []Message
+	pkt  []byte
+}
+
+// handleData stores one data frame, notes an owed ack when the ack
+// scheme calls for one, and collects the message when it completes.
+func (e *Endpoint) handleData(f Frame, from net.Addr, b *rxBatch) {
 	key := rxKey{session: f.Session, message: f.Message}
 	frames := int(f.Aux)
 	seq := int(f.Seq)
@@ -566,91 +622,110 @@ func (e *Endpoint) handleData(f Frame, from net.Addr) {
 	}
 
 	e.mu.Lock()
-	if total, done := e.rxDone[key]; done {
-		e.mu.Unlock()
+	defer e.mu.Unlock()
+	if _, done := e.rxDone[key]; done {
 		// The sender missed our final ack: re-ack with a full cumulative
 		// ack so it can finish.
-		e.sendAck(from, f.Session, f.Message, total, 0)
+		b.owe(key)
 		return
 	}
 	st := e.rx[key]
-	if st == nil {
+	switch {
+	case st == nil && seq < maxWindow:
 		st = &rxState{
 			frames: frames,
 			chunk:  e.cfg.MaxPayload,
-			have:   make([]uint64, (frames+63)/64),
-			buf:    getMsgBuf(frames * e.cfg.MaxPayload),
+			buf:    getMsgBuf(min(frames, 2*maxWindow) * e.cfg.MaxPayload),
 			from:   from,
 		}
 		e.rx[key] = st
+	case st == nil || frames != st.frames || seq >= st.cum+maxWindow:
+		// Inconsistent with the message's geometry, or further ahead than
+		// any sender's window reaches: a forged frame must not size what
+		// the receiver holds.
+		return
 	}
-	if frames != st.frames {
-		e.mu.Unlock()
-		return // inconsistent with the message's established geometry
-	}
-	// A duplicate is never the next expected frame: bit cum is unset.
+	// A duplicate is never the next expected frame: bit 0 is clear.
 	inOrder := seq == st.cum
-	if !st.haveBit(seq) {
-		st.have[seq/64] |= 1 << uint(seq%64)
-		st.haveN++
+	if seq >= st.cum && st.ahead&(1<<(seq-st.cum)) == 0 {
+		st.hold(seq)
 		copy((*st.buf)[seq*st.chunk:], f.Payload)
 		if seq == frames-1 {
 			st.lastLen = len(f.Payload)
 		}
-		for st.cum < st.frames && st.haveBit(st.cum) {
-			st.cum++
-		}
+		st.ahead |= 1 << (seq - st.cum)
+		n := bits.TrailingZeros64(^st.ahead)
+		st.ahead >>= n
+		st.cum += n
 	}
-	complete := st.haveN == st.frames
+	complete := st.cum == st.frames
 	// Ack on request, on completion, and whenever the sender has
 	// something to repair: a frame out of order, a duplicate, or holes
 	// still open below the highest frame received.
-	if !f.AckReq && !complete && inOrder && st.haveN == st.cum {
-		e.mu.Unlock()
+	if f.AckReq || complete || !inOrder || st.ahead != 0 {
+		b.owe(key)
+	}
+	if !complete {
 		return
 	}
-	cum := uint32(st.cum)
-	var bitmap uint32
-	for i := 0; i < 32; i++ {
-		j := st.cum + 1 + i
-		if j >= st.frames {
-			break
-		}
-		if st.haveBit(j) {
-			bitmap |= 1 << uint(i)
-		}
+	delete(e.rx, key)
+	total := (st.frames-1)*st.chunk + st.lastLen
+	stream := (*st.buf)[:total]
+	hdrLen := -1
+	if total >= 4 {
+		hdrLen = int(binary.LittleEndian.Uint32(stream))
 	}
-	var msg Message
-	if complete {
-		total := (st.frames-1)*st.chunk + st.lastLen
-		stream := (*st.buf)[:total]
-		hdrLen := int(binary.LittleEndian.Uint32(stream))
-		if 4+hdrLen > total {
-			// A sender bug or a forged stream; drop the message rather
-			// than deliver garbage (every frame passed its checksum, so
-			// this cannot be wire corruption).
-			putMsgBuf(st.buf)
-			delete(e.rx, key)
-			e.mu.Unlock()
-			return
-		}
-		msg = Message{
-			Session: f.Session, ID: f.Message, From: st.from,
-			Hdr: stream[4 : 4+hdrLen], Payload: stream[4+hdrLen:], buf: st.buf,
-		}
-		delete(e.rx, key)
-		e.rxDone[key] = uint32(st.frames)
-		e.rxOrder = append(e.rxOrder, key)
-		if len(e.rxOrder) > rxDoneCap {
-			evict := e.rxOrder[0]
-			e.rxOrder = e.rxOrder[1:]
-			delete(e.rxDone, evict)
-		}
+	if hdrLen < 0 || 4+hdrLen > total {
+		// A sender bug or a forged stream; drop the message rather than
+		// deliver garbage (every frame passed its checksum, so this
+		// cannot be wire corruption). It is owed no ack.
+		putMsgBuf(st.buf)
+		return
 	}
-	e.mu.Unlock()
+	b.done = append(b.done, Message{
+		Session: f.Session, ID: f.Message, From: st.from,
+		Hdr: stream[4 : 4+hdrLen], Payload: stream[4+hdrLen:], buf: st.buf,
+	})
+	e.rxDone[key] = uint32(st.frames)
+	e.rxOrder = append(e.rxOrder, key)
+	if len(e.rxOrder) > rxDoneCap {
+		evict := e.rxOrder[0]
+		e.rxOrder = e.rxOrder[1:]
+		delete(e.rxDone, evict)
+	}
+}
 
-	e.sendAck(from, f.Session, f.Message, cum, bitmap)
-	if complete {
+// owe records that the batch owes message key an ack.
+func (b *rxBatch) owe(key rxKey) {
+	if !slices.Contains(b.acks, key) {
+		b.acks = append(b.acks, key)
+	}
+}
+
+// flushBatch sends the acks a batch owes, one per message, each carrying
+// the receive state after the whole batch, then delivers the messages
+// the batch completed. A batch of one frame acks exactly as that frame
+// alone calls for.
+func (e *Endpoint) flushBatch(b *rxBatch, to net.Addr) {
+	for _, key := range b.acks {
+		e.mu.Lock()
+		var cum, bitmap uint32
+		st, open := e.rx[key]
+		total, done := e.rxDone[key]
+		switch {
+		case open:
+			cum, bitmap = uint32(st.cum), uint32(st.ahead>>1)
+		case done:
+			cum = total
+		}
+		e.mu.Unlock()
+		if open || done {
+			e.sendAck(b, to, key, cum, bitmap)
+		}
+	}
+	b.acks = b.acks[:0]
+	for i, msg := range b.done {
+		b.done[i] = Message{}
 		e.stats.msgsReceived.Add(1)
 		select {
 		case e.deliver <- msg:
@@ -658,18 +733,19 @@ func (e *Endpoint) handleData(f Frame, from net.Addr) {
 			msg.Release()
 		}
 	}
+	b.done = b.done[:0]
 }
 
-// sendAck transmits one ack frame to addr.
-func (e *Endpoint) sendAck(addr net.Addr, session, message, cum, bitmap uint32) {
-	bp := getFrameBuf()
-	pkt := AppendFrame((*bp)[:0], &Frame{
-		Type: FrameAck, Session: session, Message: message,
+// sendAck transmits one ack frame to addr, encoded in the batch's
+// buffer.
+func (e *Endpoint) sendAck(b *rxBatch, addr net.Addr, key rxKey, cum, bitmap uint32) {
+	b.pkt = AppendFrame(b.pkt[:0], &Frame{
+		Type: FrameAck, Session: key.session, Message: key.message,
 		Seq: cum, Aux: bitmap,
 	})
 	e.stats.acksSent.Add(1)
-	e.conn.WriteTo(pkt, addr)
-	putFrameBuf(bp)
+	calls, _ := e.wire.writeBurst(b.pkt, len(b.pkt), addr) // a lost ack costs one RTO
+	e.stats.writeCalls.Add(int64(calls))
 }
 
 // Recv returns the next fully reassembled inbound message, waiting up to

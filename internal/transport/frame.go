@@ -151,17 +151,9 @@ func PeekFrame(pkt []byte) (f Frame, ok bool) {
 	}, true
 }
 
-// framePool recycles datagram-sized buffers for both the send and the
-// receive paths; a windowed transfer touches thousands of frames and must
-// not allocate one buffer each.
-var framePool = sync.Pool{
-	New: func() any { b := make([]byte, 0, MaxFrameSize); return &b },
+// burstPool recycles send-burst buffers, each large enough for a full
+// window of maximum-size frames: a windowed transfer sends thousands of
+// frames and must not allocate a buffer per burst.
+var burstPool = sync.Pool{
+	New: func() any { b := make([]byte, 0, maxWindow*MaxFrameSize); return &b },
 }
-
-// getFrameBuf returns a pooled handle to a buffer of MaxFrameSize
-// capacity. Hand the same handle back to putFrameBuf: pooling a fresh
-// &slice would heap-allocate a slice header on every frame.
-func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
-
-// putFrameBuf recycles a handle obtained from getFrameBuf.
-func putFrameBuf(b *[]byte) { framePool.Put(b) }

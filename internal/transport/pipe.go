@@ -32,12 +32,12 @@ func (a pipeAddr) String() string  { return string(a) }
 
 // pipeConn is one end of a Pipe.
 type pipeConn struct {
-	addr pipeAddr
+	addr net.Addr // a pipeAddr, boxed once rather than per read
 	peer *pipeConn
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    [][]byte
+	queue    []*[]byte // datagram copies from pipeBufs
 	closed   bool
 	deadline time.Time
 }
@@ -48,14 +48,22 @@ func newPipeConn(addr string) *pipeConn {
 	return c
 }
 
-// deliver enqueues one datagram on this end's receive queue.
+// pipeBufs recycles the per-datagram copies a pipe queues, so the pipe's
+// own allocations do not hide the endpoint's.
+var pipeBufs = sync.Pool{
+	New: func() any { b := make([]byte, 0, MaxFrameSize); return &b },
+}
+
+// deliver enqueues a copy of one datagram on this end's receive queue.
 func (c *pipeConn) deliver(p []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed || len(c.queue) >= pipeQueueCap {
 		return // socket-buffer overrun: the datagram is lost
 	}
-	c.queue = append(c.queue, append([]byte(nil), p...))
+	bp := pipeBufs.Get().(*[]byte)
+	*bp = append((*bp)[:0], p...)
+	c.queue = append(c.queue, bp)
 	c.cond.Signal()
 }
 
@@ -80,11 +88,14 @@ func (c *pipeConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		}
 		c.cond.Wait()
 	}
-	pkt := c.queue[0]
+	bp := c.queue[0]
+	c.queue[0] = nil
 	c.queue = c.queue[1:]
-	n := copy(p, pkt)
-	if n < len(pkt) {
-		return n, c.peer.addr, fmt.Errorf("transport: datagram %d bytes truncated to %d", len(pkt), n)
+	n := copy(p, *bp)
+	size := len(*bp)
+	pipeBufs.Put(bp)
+	if n < size {
+		return n, c.peer.addr, fmt.Errorf("transport: datagram %d bytes truncated to %d", size, n)
 	}
 	return n, c.peer.addr, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -296,10 +297,11 @@ func sendOne(t *testing.T, sender, receiver *Endpoint, body []byte) {
 	}
 }
 
-// TestAckPolicyClean pins the ack budget of a clean send: a 64 KiB
-// message fills 46 full-MTU frames, and with the default window of 32
-// the receiver acks frames 7, 15, 23, 31, 39 (stride 8, which also
-// covers every window-filling frame) and the final frame 45.
+// TestAckPolicyClean pins the ack budget of a clean send over the Pipe,
+// which reads one frame per batch: a 64 KiB message fills 46 full-MTU
+// frames, and with the default window of 32 the receiver acks frames 7,
+// 15, 23, 31, 39 (stride 8, which also covers every window-filling
+// frame) and the final frame 45.
 func TestAckPolicyClean(t *testing.T) {
 	sender, receiver := pair(t, quietConfig(0), nil)
 	body := make([]byte, 64<<10)
@@ -414,38 +416,162 @@ func TestEndpointClose(t *testing.T) {
 	}
 }
 
-// TestUDPSocketPair runs the clean-path exchange over real kernel UDP
-// loopback sockets — the deployment configuration — rather than the
-// in-memory pipe.
-func TestUDPSocketPair(t *testing.T) {
-	a, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no UDP loopback: %v", err)
-	}
-	b, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender := NewEndpoint(a, b.LocalAddr(), 1, testConfig())
+// TestForgedFrames pins the receiver's bounds on frames no correct
+// sender produces. A single data frame's claimed frame count must not
+// size what the receiver holds: frames claiming 2^16 and 2^31-1 frames
+// (~94 MB and ~3 TB of message) each cost the receiver at most 256 KiB
+// of allocation. A one-frame stream too short to hold its header length
+// is dropped rather than read past its end. A legitimate message still
+// arrives afterwards.
+func TestForgedFrames(t *testing.T) {
+	a, b := Pipe()
 	receiver := NewEndpoint(b, a.LocalAddr(), 1, testConfig())
-	defer sender.Close()
 	defer receiver.Close()
 
-	body := make([]byte, 100_000)
+	ack := make([]byte, MaxFrameSize)
+	for i, frames := range []uint32{1 << 16, 1<<31 - 1} {
+		id := uint32(1000 + i)
+		pkt := AppendFrame(nil, &Frame{
+			Type: FrameData, AckReq: true, Session: 1, Message: id,
+			Aux: frames, Payload: make([]byte, MaxPayloadSize),
+		})
+		a.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := a.WriteTo(pkt, b.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+		// The ack the frame asked for shows the receiver has stored it.
+		n, _, err := a.ReadFrom(ack)
+		if err != nil {
+			t.Fatalf("claim of %d frames: no ack: %v", frames, err)
+		}
+		runtime.ReadMemStats(&after)
+		if f, err := DecodeFrame(ack[:n]); err != nil || f.Type != FrameAck || f.Message != id || f.Seq != 1 {
+			t.Fatalf("claim of %d frames: ack %+v, %v", frames, f, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<10 {
+			t.Fatalf("claim of %d frames allocated %d bytes on the receiver", frames, grew)
+		}
+	}
+	// The short stream draws no ack; sendOne below requires the next
+	// delivery to be the legitimate message.
+	short := AppendFrame(nil, &Frame{Type: FrameData, Session: 1, Message: 2000, Aux: 1, Payload: []byte{1, 2}})
+	if _, err := a.WriteTo(short, b.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	a.SetReadDeadline(time.Time{})
+
+	sender := NewEndpoint(a, b.LocalAddr(), 1, testConfig())
+	defer sender.Close()
+	body := make([]byte, 64<<10)
 	for i := range body {
-		body[i] = byte(i * 7)
+		body[i] = byte(i * 11)
 	}
-	if err := sender.Send(0, []byte("udp"), body); err != nil {
-		t.Fatal(err)
+	sendOne(t, sender, receiver, body)
+}
+
+// TestUDPSocketPair runs exchanges over real kernel UDP loopback sockets
+// (the deployment configuration, batched with GSO and GRO on Linux)
+// rather than the in-memory pipe: messages on both sides of every burst
+// boundary, the conn calls a clean 64 KiB message costs, and a batched
+// endpoint talking to a per-datagram one through injected faults.
+func TestUDPSocketPair(t *testing.T) {
+	listen := func(t *testing.T) net.PacketConn {
+		t.Helper()
+		c, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("no UDP loopback: %v", err)
+		}
+		return c
 	}
-	msg, err := receiver.Recv(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
+	udpPair := func(t *testing.T, cfg Config) (sender, receiver *Endpoint) {
+		a, b := listen(t), listen(t)
+		sender = NewEndpoint(a, b.LocalAddr(), 1, cfg)
+		receiver = NewEndpoint(b, a.LocalAddr(), 1, cfg)
+		t.Cleanup(func() { sender.Close(); receiver.Close() })
+		return sender, receiver
 	}
-	defer msg.Release()
-	if !bytes.Equal(msg.Payload, body) {
-		t.Fatal("payload differs over UDP loopback")
-	}
+
+	t.Run("sizes", func(t *testing.T) {
+		sender, receiver := udpPair(t, testConfig())
+		// The stream is the body plus its 4-byte header length.
+		frames := func(n int) int { return n*MaxPayloadSize - 4 }
+		w := sender.cfg.Window
+		for _, size := range []int{1, frames(1), frames(w - 1), frames(w), frames(w + 1), 64 << 10, 1 << 20} {
+			body := make([]byte, size)
+			for i := range body {
+				body[i] = byte(i*7 + size)
+			}
+			sendOne(t, sender, receiver, body)
+		}
+	})
+
+	t.Run("counts", func(t *testing.T) {
+		if runtime.GOOS != "linux" {
+			t.Skip("UDP GSO and GRO are Linux socket options")
+		}
+		sender, receiver := udpPair(t, quietConfig(0))
+		sendOne(t, sender, receiver, make([]byte, 64<<10))
+		// Per datagram this is 46 writes, 46 reads and 6 acks: one burst
+		// per window fill, one read per burst, one ack per read.
+		s, r := sender.Stats(), receiver.Stats()
+		if s.DataSent != 46 || s.WriteCalls > 3 || r.ReadCalls > 3 || r.AcksSent > 2 {
+			t.Fatalf("sender %+v, receiver %+v: want 46 frames in <= 3 writes, <= 3 reads, <= 2 acks", s, r)
+		}
+	})
+
+	t.Run("mixed peers", func(t *testing.T) {
+		// The faulty endpoint's conn is a FaultConn, so it moves one
+		// datagram per call and receives the batched endpoint's GSO
+		// bursts without GRO. Its faults hit its data frames on the way
+		// in and its acks on the way out, so both endpoints repair holes
+		// with retransmission bursts.
+		a, b := listen(t), listen(t)
+		fault := FaultConfig{Seed: 4242, DropRate: 0.1, DupRate: 0.1, ReorderRate: 0.1, CorruptRate: 0.1}
+		batched := NewEndpoint(a, b.LocalAddr(), 1, testConfig())
+		faulty := NewEndpoint(NewFaultConn(b, fault), a.LocalAddr(), 2, testConfig())
+		t.Cleanup(func() { batched.Close(); faulty.Close() })
+
+		const msgs = 8
+		errs := make(chan error, 2*msgs)
+		var wg sync.WaitGroup
+		body := func(i int) []byte {
+			p := make([]byte, 20_000+i*19_000)
+			for j := range p {
+				p[j] = byte(j*3 + i)
+			}
+			return p
+		}
+		for _, dir := range []struct{ from, to *Endpoint }{{batched, faulty}, {faulty, batched}} {
+			for i := 0; i < msgs; i++ {
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					if err := dir.from.Send(uint32(i), nil, body(i)); err != nil {
+						errs <- fmt.Errorf("send %d: %w", i, err)
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					msg, err := dir.to.Recv(30 * time.Second)
+					if err != nil {
+						errs <- err
+						return
+					}
+					defer msg.Release()
+					if !bytes.Equal(msg.Payload, body(int(msg.ID))) {
+						errs <- fmt.Errorf("message %d differs (%d payload bytes)", msg.ID, len(msg.Payload))
+					}
+				}()
+			}
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	})
 }
 
 // TestFaultConnStats pins the injector's bookkeeping: with a seeded PRNG
