@@ -10,7 +10,9 @@
 #   test         build + test
 #   race         `make race` — includes nic/loggops/fabric now that
 #                shards execute those models concurrently, and the
-#                transport's ARQ endpoints
+#                transport's ARQ endpoints; then reruns core's cache
+#                eviction hammer at -count=10 (eviction raced against
+#                instantiate/run/Release on shared, evicting caches)
 #   loss-matrix  transport + UDP-backend differential tests under -race
 #                at 0%, 1% and 10% injected loss (SPINDDT_LOSS_PCT pins
 #                the rate per matrix shard; see `make loss-matrix`)
@@ -51,9 +53,12 @@ BENCH_DATE := $(shell date +%F)
 # at 8 and 64 ranks), the reliable transport's steady-state message
 # rate (over the in-memory pipe, and over loopback UDP where the wire's
 # syscalls show), the session daemon's full client-session cycle
-# (open/commit/post/flush/close over the in-memory pipe), and the lowered
-# execution-plan kernels (pack/unpack and gather resolve per plan kind).
-BENCH_CORE := BenchmarkSimulationRWCP1MiB|BenchmarkSimulationSpecialized1MiB|BenchmarkDDTPackUnpack|BenchmarkEventEngine|BenchmarkSimulationClusterSerial|BenchmarkSimulationSharded|BenchmarkSessionPostReuse|BenchmarkAlltoall8|BenchmarkSessionSendReuse|BenchmarkHaloExchange8|BenchmarkHaloExchange64|BenchmarkHaloExchange256|BenchmarkOffloadInstantiate|BenchmarkTransportThroughput|BenchmarkTransportUDP|BenchmarkServerThroughput|BenchmarkPlanPack|BenchmarkPlanGather
+# (open/commit/post/flush/close over the in-memory pipe), the lowered
+# execution-plan kernels (pack/unpack and gather resolve per plan kind),
+# and the region walk the host cost model runs on every served send and
+# receive (DDTForEachBlock; recorded, but gated only once the baseline is
+# re-recorded, since bench-check gates the benchmarks the baseline lists).
+BENCH_CORE := BenchmarkSimulationRWCP1MiB|BenchmarkSimulationSpecialized1MiB|BenchmarkDDTPackUnpack|BenchmarkEventEngine|BenchmarkSimulationClusterSerial|BenchmarkSimulationSharded|BenchmarkSessionPostReuse|BenchmarkAlltoall8|BenchmarkSessionSendReuse|BenchmarkHaloExchange8|BenchmarkHaloExchange64|BenchmarkHaloExchange256|BenchmarkOffloadInstantiate|BenchmarkTransportThroughput|BenchmarkTransportUDP|BenchmarkServerThroughput|BenchmarkPlanPack|BenchmarkPlanGather|BenchmarkDDTForEachBlock
 # Allowed fractional ns/op regression vs BENCH_BASELINE.json.
 TOLERANCE ?= 0.25
 # Allowed fractional B/op and allocs/op regression vs BENCH_BASELINE.json.
@@ -84,8 +89,12 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 
+# race runs the concurrent packages under the race detector, then the
+# cache eviction hammer ten times: eviction races only show up across
+# many interleavings of state several goroutines reach.
 race:
 	$(GO) test -race ./internal/ddt/ ./internal/core/ ./internal/sim/ ./internal/experiments/ ./internal/nic/ ./internal/loggops/ ./internal/fabric/ ./internal/transport/ ./internal/server/
+	$(GO) test -race -count=10 -run '^TestCacheEvictionHammer$$' ./internal/core/
 
 # loss-matrix runs the transport and UDP-backend differential tests under
 # -race at every loss rate of the matrix (each CI shard pins one rate via

@@ -94,5 +94,8 @@ func serve(conn net.PacketConn, cfg server.Config, stop <-chan os.Signal, out io
 		st.Opened, st.Open, st.Reaped, st.Requests, st.Rejections)
 	fmt.Fprintf(out, "spinsimd: transport %d data frames and %d acks sent; %d write and %d read calls\n",
 		st.Transport.DataSent, st.Transport.AcksSent, st.Transport.WriteCalls, st.Transport.ReadCalls)
+	ty, ar := st.Caches.Types, st.Caches.Artifacts
+	fmt.Fprintf(out, "spinsimd: caches: types %d hits, %d misses, %d evictions; artifacts %d hits, %d misses, %d evictions\n",
+		ty.Hits, ty.Misses, ty.Evictions, ar.Hits, ar.Misses, ar.Evictions)
 	return nil
 }

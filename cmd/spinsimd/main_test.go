@@ -74,7 +74,8 @@ func TestServeSignalDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	if !strings.Contains(got, "1 sessions served") || !strings.Contains(got, "spinsimd: serving on") {
+	if !strings.Contains(got, "1 sessions served") || !strings.Contains(got, "spinsimd: serving on") ||
+		!strings.Contains(got, "spinsimd: caches: types 0 hits, 1 misses, 0 evictions; artifacts ") {
 		t.Fatalf("summary output:\n%s", got)
 	}
 }

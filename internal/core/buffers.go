@@ -70,47 +70,28 @@ func putBuf(b *[]byte) { bufPool.Put(b) }
 // every strategy and repetition, so Run/RunTransfer share one immutable
 // buffer per key instead of refilling megabytes per simulation. Entries are
 // read-only after insertion; callers must never write to or pool a cached
-// payload.
-var payloadCache struct {
-	sync.RWMutex
-	m     map[payloadKey][]byte
-	bytes int64
-}
+// payload. An entry costs its length, and past payloadBudget bytes cold
+// payloads are evicted, so a sweep over many seeds cannot hold the whole
+// experiment set in memory.
+var payloadCache clockCache[payloadKey, []byte]
 
 type payloadKey struct {
 	seed int64
 	size int64
 }
 
-// payloadCacheCap bounds the cache volume; once exceeded, further keys are
-// filled directly (uncached) so pathological sweeps cannot hold the whole
-// experiment set in memory.
-const payloadCacheCap = 256 << 20
+const payloadBudget = 256 << 20
 
 // payloadFor returns the deterministic payload for (seed, size). The result
 // is shared and read-only.
 func payloadFor(seed, size int64) []byte {
 	k := payloadKey{seed: seed, size: size}
-	payloadCache.RLock()
-	b := payloadCache.m[k]
-	payloadCache.RUnlock()
-	if b != nil {
+	if b, ok := payloadCache.get(k); ok {
 		return b
 	}
-	b = make([]byte, size)
+	b := make([]byte, size)
 	fillPayload(seed, b)
-	payloadCache.Lock()
-	if have := payloadCache.m[k]; have != nil {
-		b = have // lost the race: share the winner
-	} else if payloadCache.bytes+size <= payloadCacheCap {
-		if payloadCache.m == nil {
-			payloadCache.m = make(map[payloadKey][]byte)
-		}
-		payloadCache.m[k] = b
-		payloadCache.bytes += size
-	}
-	payloadCache.Unlock()
-	return b
+	return payloadCache.put(k, b, size, payloadBudget)
 }
 
 // fillPayload fills buf with a deterministic pseudo-random byte stream

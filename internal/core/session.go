@@ -40,13 +40,42 @@ type SessionConfig struct {
 // Hand the same SharedCaches to several SessionConfigs and their sessions
 // share compiled dataloops, checkpoint sets, specialized handlers, offload
 // templates and instance pools — a type committed by one peer's session is
-// instantiate-only for every other peer. Safe for concurrent use.
+// instantiate-only for every other peer. Its intern table (Intern) gives
+// a decoded datatype an identity, its wire encoding, so a re-commit of an
+// encoding the set has seen reaches the caches as the same committed type
+// and hits instead of rebuilding. Every cache is bounded and evicts its
+// cold entries, so a long-lived daemon keeps hitting on its current
+// working set at bounded memory. Safe for concurrent use.
 type SharedCaches struct {
 	caches offloadCaches
 }
 
 // NewSharedCaches returns an empty shared cache set.
 func NewSharedCaches() *SharedCaches { return &SharedCaches{} }
+
+// Intern returns the committed type the set holds for the datatype
+// encoding enc. When it holds none, it commits t, which must be enc's
+// decode, holds it and returns it. Equal encodings always decode to equal
+// types, so the returned type is interchangeable with t; callers commit
+// the returned one and drop t.
+func (sc *SharedCaches) Intern(enc []byte, t *ddt.Type) *ddt.Type {
+	return sc.caches.intern(enc, t)
+}
+
+// SharedCacheStats counts the lookups of a SharedCaches.
+type SharedCacheStats struct {
+	// Types is the intern table; Artifacts the build caches (dataloops,
+	// checkpoint sets, specialized builds and offload templates).
+	Types, Artifacts CacheStats
+}
+
+// Stats returns the hit, miss and eviction counts of the set's caches.
+func (sc *SharedCaches) Stats() SharedCacheStats {
+	return SharedCacheStats{
+		Types:     sc.caches.types.snapshot(),
+		Artifacts: sc.caches.artifacts.snapshot(),
+	}
+}
 
 // NewSessionConfig returns the paper's default session configuration.
 func NewSessionConfig() SessionConfig {
@@ -281,9 +310,11 @@ func (h *TypeHandle) Type() *ddt.Type { return h.typ }
 func (h *TypeHandle) Strategy() Strategy { return h.strategy }
 
 // Free releases the handle: the session forgets it and subsequent posts
-// fail. The underlying caches keep their immutable artifacts (a later
-// re-commit of the same type rebuilds cheaply). Free is idempotent, and a
-// stale Free never evicts a live handle from a later re-commit.
+// fail. The underlying caches keep the type's immutable artifacts until
+// they go cold and are evicted, so a later re-commit of the same type —
+// or, through SharedCaches.Intern, of the same encoding — hits them
+// instead of rebuilding. Free is idempotent, and a stale Free never
+// evicts a live handle from a later re-commit.
 func (h *TypeHandle) Free() {
 	s := h.sess
 	id := handleID{typ: h.typ, strategy: h.strategy, epsilon: h.epsilon}

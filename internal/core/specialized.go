@@ -110,10 +110,9 @@ func buildSpecialized(cost CostModel, typ *ddt.Type, count int, skipNormalize bo
 // normalize, so they share the receive builds made with it off.
 func (c *offloadCaches) specialized(cost CostModel, typ *ddt.Type, count int, skipNormalize bool) *specBuild {
 	k := specCacheKey{typ: typ, count: count, cost: cost, disableNorm: skipNormalize}
-	if v, ok := c.spec.Load(k); ok {
+	if v, ok := c.artifacts.get(k); ok {
 		return v.(*specBuild)
 	}
 	b := buildSpecialized(cost, typ, count, skipNormalize)
-	c.store(&c.spec, k, b)
-	return b
+	return c.artifacts.put(k, b, 1, artifactBudget).(*specBuild)
 }

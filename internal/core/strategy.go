@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"spinddt/internal/dataloop"
 	"spinddt/internal/ddt"
@@ -151,10 +149,23 @@ type BuildParams struct {
 // repetition, and recompiling the dataloop or recloning the checkpoint
 // set each time dominated the host-side cost. The reported Prep costs
 // still model a cold build: caching changes wall-clock, never results.
-// Entries are bounded; past the cap, builds simply run uncached (each
-// call then mints from a private template, which is correct, just not
-// pooled).
-const offloadCacheCap = 512
+//
+// The caches are bounded and evict (cache.go): entries hit since the
+// hand's last pass stay, cold ones make room. Eviction only drops the
+// cache's reference — a handle keeps its own instance, and an instance
+// checked out from an evicted template still releases into that
+// template — so a later build of an evicted key is just a miss.
+// Artifacts are keyed by the committed type's pointer: in-process callers
+// reuse one *ddt.Type per layout, and the served path interns commits by
+// their encoding (SharedCaches.Intern), so a re-commit of an encoding the
+// daemon has seen reaches the caches as the same pointer and hits.
+const (
+	// artifactBudget bounds the artifacts cache in entries: a full
+	// application deck or the served churn pool fills under half.
+	artifactBudget = 512
+	// typeBudget bounds the intern table in types.
+	typeBudget = 512
+)
 
 type loopCacheKey struct {
 	typ   *ddt.Type
@@ -196,10 +207,13 @@ type tmplCacheKey struct {
 // created with SessionConfig.Caches share one (the server's per-peer
 // sessions instantiate from server-wide templates that way), and the
 // package-level one-shot wrappers (Run, RunTransfer, RunCluster via
-// BuildOffload) share defaultCaches.
+// BuildOffload) share defaultCaches. The zero value is an empty set.
 type offloadCaches struct {
-	loop, ckpt, spec, tmpl sync.Map
-	size                   atomic.Int64
+	// artifacts holds dataloops, checkpoint sets, specialized builds and
+	// templates under their distinct key types, one entry each.
+	artifacts clockCache[any, any]
+	// types is the intern table: committed datatypes by wire encoding.
+	types clockCache[string, *ddt.Type]
 	// counters tallies plan selections for Session.Stats.
 	counters PlanCounters
 }
@@ -208,27 +222,28 @@ type offloadCaches struct {
 // one-shot session behind Run/RunSend/RunTransfer.
 var defaultCaches offloadCaches
 
-func (c *offloadCaches) store(m *sync.Map, k, v any) {
-	if c.size.Load() >= offloadCacheCap {
-		return
+// intern returns the committed type held for the encoding enc, or commits
+// t (enc's decode), holds it and returns it.
+func (c *offloadCaches) intern(enc []byte, t *ddt.Type) *ddt.Type {
+	k := string(enc)
+	if have, ok := c.types.get(k); ok {
+		return have
 	}
-	if _, loaded := m.LoadOrStore(k, v); !loaded {
-		c.size.Add(1)
-	}
+	t.Commit()
+	return c.types.put(k, t, 1, typeBudget)
 }
 
 // compileLoop returns the (shared, immutable) dataloop of a committed type.
 func (c *offloadCaches) compileLoop(typ *ddt.Type, count int) (*dataloop.Dataloop, error) {
 	k := loopCacheKey{typ: typ, count: count}
-	if v, ok := c.loop.Load(k); ok {
+	if v, ok := c.artifacts.get(k); ok {
 		return v.(*dataloop.Dataloop), nil
 	}
 	loop, err := dataloop.CompileCount(typ, count)
 	if err != nil {
 		return nil, err
 	}
-	c.store(&c.loop, k, loop)
-	return loop, nil
+	return c.artifacts.put(k, loop, 1, artifactBudget).(*dataloop.Dataloop), nil
 }
 
 // BuildOffload returns an execution-ready offload instance for the
@@ -251,9 +266,9 @@ func (c *offloadCaches) buildOffload(s Strategy, p BuildParams) (*Offload, error
 }
 
 // template returns the immutable template of one (strategy, BuildParams)
-// key, building and caching it on first use. Concurrent first builds may
-// race; LoadOrStore keeps exactly one winner so every caller pools on the
-// same template.
+// key, building and caching it on a miss. Concurrent first builds may
+// race; put keeps exactly one winner so every caller pools on the same
+// template.
 func (c *offloadCaches) template(s Strategy, p BuildParams) (*offloadTemplate, error) {
 	if p.Count <= 0 {
 		return nil, fmt.Errorf("core: count %d", p.Count)
@@ -263,20 +278,14 @@ func (c *offloadCaches) template(s Strategy, p BuildParams) (*offloadTemplate, e
 	}
 	k := tmplCacheKey{strategy: s, params: p}
 	k.params.NIC.Trace = nil // tracing does not affect the build
-	if v, ok := c.tmpl.Load(k); ok {
+	if v, ok := c.artifacts.get(k); ok {
 		return v.(*offloadTemplate), nil
 	}
 	t, err := c.buildTemplate(s, p)
 	if err != nil {
 		return nil, err
 	}
-	if c.size.Load() < offloadCacheCap {
-		if v, loaded := c.tmpl.LoadOrStore(k, t); loaded {
-			return v.(*offloadTemplate), nil
-		}
-		c.size.Add(1)
-	}
-	return t, nil
+	return c.artifacts.put(k, t, 1, artifactBudget).(*offloadTemplate), nil
 }
 
 // buildTemplate assembles one template from the artifact caches: the cold
@@ -327,7 +336,7 @@ func (c *offloadCaches) buildTemplate(s Strategy, p BuildParams) (*offloadTempla
 		ck.nic.Trace = nil // tracing does not affect the build
 		var choice IntervalChoice
 		var ckpts *dataloop.CheckpointSet
-		if v, ok := c.ckpt.Load(ck); ok {
+		if v, ok := c.artifacts.get(ck); ok {
 			e := v.(ckptCacheEntry)
 			choice, ckpts = e.choice, e.ckpts
 		} else {
@@ -357,7 +366,7 @@ func (c *offloadCaches) buildTemplate(s Strategy, p BuildParams) (*offloadTempla
 			if err != nil {
 				return nil, err
 			}
-			c.store(&c.ckpt, ck, ckptCacheEntry{choice: choice, ckpts: ckpts})
+			c.artifacts.put(ck, ckptCacheEntry{choice: choice, ckpts: ckpts}, 1, artifactBudget)
 		}
 		t.ckpts = ckpts
 		t.interval = choice.IntervalBytes

@@ -9,6 +9,18 @@
 // bounded server-side accounting — max sessions, max committed handles,
 // a per-session pending-byte budget — and idle sessions are reaped.
 //
+// # Commit interning
+//
+// A committed datatype's identity is its exact wire encoding. Every
+// commit is still decoded and validated, but the daemon then interns it
+// by its encoding (core.SharedCaches.Intern): an encoding any session
+// committed before yields the committed type that commit built, so its
+// dataloop, checkpoint set, specialized handler and offload template are
+// cache hits for every later session, not rebuilds. The intern table and
+// the build caches are bounded and evict cold entries, so a long-lived
+// daemon keeps hitting on its current working set at bounded memory;
+// Stats().Caches counts their hits, misses and evictions.
+//
 // # Request wire protocol
 //
 // A request is one transport message: the fixed 20-byte request header

@@ -77,6 +77,9 @@ type Stats struct {
 	// Transport is the daemon socket's wire counters: frames, acks and
 	// the conn calls that carried them.
 	Transport transport.Stats
+	// Caches is the shared caches' hits, misses and evictions: the
+	// commit intern table and the offload build artifacts.
+	Caches core.SharedCacheStats
 }
 
 // Server is the spinsimd daemon: one transport endpoint demultiplexing
@@ -86,9 +89,10 @@ type Stats struct {
 type Server struct {
 	cfg Config
 	ep  *transport.Endpoint
-	// caches is the offload build-cache set every peer session shares: a
-	// type committed by one peer is template-cached for all of them, and
-	// their posts draw pooled instances instead of rebuilding.
+	// caches is the offload build-cache set every peer session shares:
+	// commits are interned by encoding, so a type committed by one peer
+	// is template-cached for all of them, and their posts draw pooled
+	// instances instead of rebuilding.
 	caches *core.SharedCaches
 
 	mu       sync.Mutex
@@ -120,8 +124,7 @@ type peerSession struct {
 	handles    map[uint32]*core.TypeHandle
 	byKey      map[string]uint32 // commit-dedup: strategy+encoding -> handle
 	keyOf      map[uint32]string
-	freed      map[uint32]bool
-	nextHandle uint32
+	nextHandle uint32 // last issued handle id; ids are issued in order
 	futures    []pendingFuture
 	nextFuture uint32
 	pending    int64 // bytes accounted against Config.ByteBudget
@@ -168,6 +171,7 @@ func (s *Server) Stats() Stats {
 		Requests:   s.stats.requests.Load(),
 		Rejections: s.stats.rejections.Load(),
 		Transport:  s.ep.Stats(),
+		Caches:     s.caches.Stats(),
 	}
 }
 
@@ -261,7 +265,6 @@ func (s *Server) route(session, id uint32, from net.Addr, req *Request) {
 			handles: make(map[uint32]*core.TypeHandle),
 			byKey:   make(map[string]uint32),
 			keyOf:   make(map[uint32]string),
-			freed:   make(map[uint32]bool),
 		}
 		s.sessions[session] = p
 		s.stats.opened.Add(1)
@@ -347,12 +350,17 @@ func (s *Server) handle(p *peerSession, req *Request) *Response {
 
 	case ReqCommit:
 		strategy := core.Strategy(req.Strategy)
-		if req.Strategy == StrategyAuto {
-			strategy = core.SelectStrategy(req.Type)
-		} else if int(req.Strategy) >= len(core.OffloadStrategies) {
+		if req.Strategy != StrategyAuto && int(req.Strategy) >= len(core.OffloadStrategies) {
 			resp.Status = StatusBadRequest
 			resp.Detail = fmt.Sprintf("strategy byte %d is not an offloaded strategy", req.Strategy)
 			return resp
+		}
+		// A seen encoding yields the type an earlier commit built, so
+		// its offload artifacts are cache hits; the fresh decode is
+		// dropped.
+		typ := s.caches.Intern(req.RawType, req.Type)
+		if req.Strategy == StrategyAuto {
+			strategy = core.SelectStrategy(typ)
 		}
 		// The duplicate check precedes the limit check: a re-commit
 		// would not consume a handle slot, so it is flagged as the
@@ -368,7 +376,7 @@ func (s *Server) handle(p *peerSession, req *Request) *Response {
 			resp.Detail = fmt.Sprintf("%d handles committed", live)
 			return resp
 		}
-		h, err := p.sess.CommitAs(req.Type, strategy)
+		h, err := p.sess.CommitAs(typ, strategy)
 		if err != nil {
 			resp.Status = StatusBadRequest
 			resp.Detail = err.Error()
@@ -439,7 +447,6 @@ func (s *Server) handle(p *peerSession, req *Request) *Response {
 		delete(p.handles, req.Handle)
 		delete(p.byKey, p.keyOf[req.Handle])
 		delete(p.keyOf, req.Handle)
-		p.freed[req.Handle] = true
 
 	case ReqClose:
 		s.detach(p)
@@ -453,12 +460,13 @@ func (s *Server) handle(p *peerSession, req *Request) *Response {
 	return resp
 }
 
-// lookup resolves a handle id to its committed handle.
+// lookup resolves a handle id to its committed handle. Ids are issued in
+// order, so an id in (0, nextHandle] that is not live was freed.
 func (p *peerSession) lookup(id uint32) (*core.TypeHandle, Status, string) {
 	if h, ok := p.handles[id]; ok {
 		return h, StatusOK, ""
 	}
-	if p.freed[id] {
+	if id != 0 && id <= p.nextHandle {
 		return nil, StatusFreedHandle, fmt.Sprintf("handle %d", id)
 	}
 	return nil, StatusUnknownHandle, fmt.Sprintf("handle %d", id)

@@ -121,6 +121,42 @@ func TestServerLifecycle(t *testing.T) {
 	}
 }
 
+// TestServerCommitInterning pins the served commit path's reuse: a second
+// session committing an encoding the daemon has seen gets an intern hit,
+// and its post builds nothing, as the daemon's cache counters report.
+func TestServerCommitInterning(t *testing.T) {
+	srv, addr := startServer(t, server.Config{}, nil)
+	typ := ddt.MustVector(64, 16, 48, ddt.Int)
+	var after []core.SharedCacheStats
+	for session := uint32(1); session <= 2; session++ {
+		c := dial(t, addr, session)
+		if err := c.Open(); err != nil {
+			t.Fatal(err)
+		}
+		h, err := c.Commit(typ, core.RWCP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Post(h, 2, 1); err != nil {
+			t.Fatal(err)
+		}
+		if recs, err := c.Flush(); err != nil || len(recs) != 1 || !recs[0].Verified {
+			t.Fatalf("session %d flush: %+v, %v", session, recs, err)
+		}
+		if err := c.CloseSession(); err != nil {
+			t.Fatal(err)
+		}
+		after = append(after, srv.Stats().Caches)
+	}
+	first, second := after[0], after[1]
+	if first.Types != (core.CacheStats{Misses: 1}) || second.Types != (core.CacheStats{Hits: 1, Misses: 1}) {
+		t.Fatalf("intern table: %+v after the first session, %+v after the second", first.Types, second.Types)
+	}
+	if first.Artifacts.Misses == 0 || second.Artifacts.Misses != first.Artifacts.Misses || second.Artifacts.Hits == 0 {
+		t.Fatalf("build caches: %+v after the first session, %+v after the second", first.Artifacts, second.Artifacts)
+	}
+}
+
 // TestServerBatchedReads pins the daemon's side of the batched wire: a
 // served 64 KiB PostPacked and its Flush cost the daemon's socket fewer
 // than ten reads (one read per datagram would be about fifty), as its
@@ -202,6 +238,9 @@ func TestServerTypedRejections(t *testing.T) {
 	// Handle bookkeeping: unknown, duplicate, over-limit, freed.
 	if _, err := c.Post(99, 1, 0); !errors.Is(err, server.ErrUnknownHandle) {
 		t.Fatalf("post unknown handle: %v", err)
+	}
+	if _, err := c.Post(0, 1, 0); !errors.Is(err, server.ErrUnknownHandle) {
+		t.Fatalf("post never-issued handle 0: %v", err)
 	}
 	h, err := c.Commit(typ, core.RWCP)
 	if err != nil {
