@@ -13,6 +13,9 @@
 #                transport's ARQ endpoints; then reruns core's cache
 #                eviction hammer at -count=10 (eviction raced against
 #                instantiate/run/Release on shared, evicting caches)
+#                and the server's post-buffer ownership test at
+#                -count=10 (a served post's transport buffer passes from
+#                the dispatcher to the session worker, which releases it)
 #   loss-matrix  transport + UDP-backend differential tests under -race
 #                at 0%, 1% and 10% injected loss (SPINDDT_LOSS_PCT pins
 #                the rate per matrix shard; see `make loss-matrix`)
@@ -55,10 +58,12 @@ BENCH_DATE := $(shell date +%F)
 # syscalls show), the session daemon's full client-session cycle
 # (open/commit/post/flush/close over the in-memory pipe), the lowered
 # execution-plan kernels (pack/unpack and gather resolve per plan kind),
-# and the region walk the host cost model runs on every served send and
-# receive (DDTForEachBlock; recorded, but gated only once the baseline is
-# re-recorded, since bench-check gates the benchmarks the baseline lists).
-BENCH_CORE := BenchmarkSimulationRWCP1MiB|BenchmarkSimulationSpecialized1MiB|BenchmarkDDTPackUnpack|BenchmarkEventEngine|BenchmarkSimulationClusterSerial|BenchmarkSimulationSharded|BenchmarkSessionPostReuse|BenchmarkAlltoall8|BenchmarkSessionSendReuse|BenchmarkHaloExchange8|BenchmarkHaloExchange64|BenchmarkHaloExchange256|BenchmarkOffloadInstantiate|BenchmarkTransportThroughput|BenchmarkTransportUDP|BenchmarkServerThroughput|BenchmarkPlanPack|BenchmarkPlanGather|BenchmarkDDTForEachBlock
+# the region walk the host cost model runs on every served send and
+# receive (DDTForEachBlock), and the receive verify kernel per plan kind
+# (PlanVerify). The last two are recorded, but gated only once the
+# baseline is re-recorded, since bench-check gates the benchmarks the
+# baseline lists.
+BENCH_CORE := BenchmarkSimulationRWCP1MiB|BenchmarkSimulationSpecialized1MiB|BenchmarkDDTPackUnpack|BenchmarkEventEngine|BenchmarkSimulationClusterSerial|BenchmarkSimulationSharded|BenchmarkSessionPostReuse|BenchmarkAlltoall8|BenchmarkSessionSendReuse|BenchmarkHaloExchange8|BenchmarkHaloExchange64|BenchmarkHaloExchange256|BenchmarkOffloadInstantiate|BenchmarkTransportThroughput|BenchmarkTransportUDP|BenchmarkServerThroughput|BenchmarkPlanPack|BenchmarkPlanGather|BenchmarkDDTForEachBlock|BenchmarkPlanVerify
 # Allowed fractional ns/op regression vs BENCH_BASELINE.json.
 TOLERANCE ?= 0.25
 # Allowed fractional B/op and allocs/op regression vs BENCH_BASELINE.json.
@@ -90,11 +95,14 @@ test:
 	$(GO) test ./...
 
 # race runs the concurrent packages under the race detector, then the
-# cache eviction hammer ten times: eviction races only show up across
-# many interleavings of state several goroutines reach.
+# cache eviction hammer and the server's post-buffer ownership test ten
+# times each: races on state several goroutines reach (evicting caches; a
+# post's transport buffer handed from the dispatcher to the session
+# worker) only show up across many interleavings.
 race:
 	$(GO) test -race ./internal/ddt/ ./internal/core/ ./internal/sim/ ./internal/experiments/ ./internal/nic/ ./internal/loggops/ ./internal/fabric/ ./internal/transport/ ./internal/server/
 	$(GO) test -race -count=10 -run '^TestCacheEvictionHammer$$' ./internal/core/
+	$(GO) test -race -count=10 -run '^TestServerPostBufferOwnership$$' ./internal/server/
 
 # loss-matrix runs the transport and UDP-backend differential tests under
 # -race at every loss rate of the matrix (each CI shard pins one rate via

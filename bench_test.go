@@ -330,6 +330,37 @@ func BenchmarkPlanPack(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanVerify measures the receive-side verify kernel alone, per
+// plan kind: one scatter, then the check of the receive buffer against
+// the stream that re-zeroes its regions, as a verified pooled receive
+// buffer goes back to its pool.
+func BenchmarkPlanVerify(b *testing.B) {
+	for _, c := range planBenchTypes() {
+		b.Run(c.name, func(b *testing.B) {
+			typ := c.typ
+			p := typ.Plan()
+			if p == nil || !p.Monotone(1) {
+				b.Fatal("no monotone plan")
+			}
+			_, hi := typ.Footprint(1)
+			dst := make([]byte, hi)
+			packed := make([]byte, typ.Size())
+			for i := range packed {
+				packed[i] = byte(i*131 + 1)
+			}
+			b.SetBytes(typ.Size())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Unpack(1, packed, dst)
+				if !p.Verify(1, packed, dst, true) {
+					b.Fatal("clean buffer rejected")
+				}
+			}
+		})
+	}
+}
+
 // hostReader is the benchmark's in-memory DMA read path. The pointer
 // receiver keeps the plan.Reader conversion pointer-shaped (boxing a slice
 // header would allocate on every conversion).

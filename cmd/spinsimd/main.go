@@ -97,5 +97,9 @@ func serve(conn net.PacketConn, cfg server.Config, stop <-chan os.Signal, out io
 	ty, ar := st.Caches.Types, st.Caches.Artifacts
 	fmt.Fprintf(out, "spinsimd: caches: types %d hits, %d misses, %d evictions; artifacts %d hits, %d misses, %d evictions\n",
 		ty.Hits, ty.Misses, ty.Evictions, ar.Hits, ar.Misses, ar.Evictions)
+	// Posts read their streams in place from transport buffers; after the
+	// drain every one must be back in its pool.
+	fmt.Fprintf(out, "spinsimd: held post buffers: %d at shutdown, %d after the drain\n",
+		st.HeldPosts, srv.Stats().HeldPosts)
 	return nil
 }

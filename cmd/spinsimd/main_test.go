@@ -75,7 +75,8 @@ func TestServeSignalDrain(t *testing.T) {
 	}
 	got := out.String()
 	if !strings.Contains(got, "1 sessions served") || !strings.Contains(got, "spinsimd: serving on") ||
-		!strings.Contains(got, "spinsimd: caches: types 0 hits, 1 misses, 0 evictions; artifacts ") {
+		!strings.Contains(got, "spinsimd: caches: types 0 hits, 1 misses, 0 evictions; artifacts ") ||
+		!strings.Contains(got, "spinsimd: held post buffers: 0 at shutdown, 0 after the drain") {
 		t.Fatalf("summary output:\n%s", got)
 	}
 }

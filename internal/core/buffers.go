@@ -34,11 +34,12 @@ func getBuf(n int64) *[]byte {
 }
 
 // cleanPool recycles buffers that are zero through their full capacity, so
-// the receive buffer of the next simulation needs no fresh memclr. Run
-// re-zeroes only the regions the typemap wrote (at most the message size)
-// before returning a buffer here — cheaper than zeroing the whole extent
-// at the next acquisition, and the gap checks of verifyReference would
-// loudly catch any violation of the invariant.
+// the receive buffer of the next simulation needs no fresh memclr.
+// verifyRecv re-zeroes only the regions the typemap wrote (at most the
+// message size), in the walk that verifies them, before returning a
+// buffer here — cheaper than zeroing the whole extent at the next
+// acquisition, and the gap checks of the next verification would loudly
+// catch any violation of the invariant.
 var cleanPool sync.Pool
 
 // getZeroBuf returns a pooled handle to a length-n zeroed byte slice,

@@ -162,11 +162,10 @@ func (s *Session) RunCluster(req ClusterRequest) (ClusterResult, error) {
 			TrafficBytes: msgSize,
 		}
 		if req.Verify {
-			if err := verifyReference(typ, req.Count, packs[i], *dsts[i], hi); err != nil {
+			if err := verifyRecv(typ, req.Count, packs[i], *dsts[i], hi, dsts[i]); err != nil {
 				return ClusterResult{}, fmt.Errorf("core: cluster endpoint %d %v: %w", i, req.Strategy, err)
 			}
 			r.Verified = true
-			releaseRecvBuf(typ, req.Count, dsts[i])
 		} else {
 			putBuf(dsts[i])
 		}

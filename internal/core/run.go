@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"spinddt/internal/ddt"
@@ -125,9 +126,10 @@ func (s *Session) Run(req Request) (Result, error) {
 		return Result{}, fmt.Errorf("core: receive datatype has negative lower bound %d", lo)
 	}
 
-	// The receive scratch comes from a pool and goes back on success; error
-	// paths simply drop it to the GC. The packed payload is a shared
-	// read-only buffer from the payload cache and is never pooled.
+	// The receive scratch comes from a pool and goes back once verified;
+	// error paths before that simply drop it to the GC. The packed payload
+	// is a shared read-only buffer from the payload cache and is never
+	// pooled.
 	packed := payloadFor(req.Seed, msgSize)
 	dstBuf := getZeroBuf(hi)
 	dst := *dstBuf
@@ -216,94 +218,71 @@ func (s *Session) Run(req Request) (Result, error) {
 	}
 
 	if req.Verify {
-		if err := verifyReference(typ, req.Count, packed, dst, hi); err != nil {
+		if err := verifyRecv(typ, req.Count, packed, dst, hi, dstBuf); err != nil {
 			return Result{}, fmt.Errorf("core: %v %w", req.Strategy, err)
 		}
 		res.Verified = true
-		releaseRecvBuf(typ, req.Count, dstBuf)
 	} else {
 		putBuf(dstBuf)
 	}
 	return res, nil
 }
 
-// releaseRecvBuf returns a verified receive buffer to the clean pool: the
-// simulation only wrote the typemap's regions (verifyReference just proved
-// every gap is still zero), so re-zeroing those regions — at most the
-// message size, not the full extent — restores an all-zero buffer.
-func releaseRecvBuf(typ *ddt.Type, count int, dstBuf *[]byte) {
-	dst := *dstBuf
-	typ.ForEachBlock(count, func(off, size int64) {
-		clear(dst[off : off+size])
-	})
-	putCleanBuf(dstBuf)
-}
+// errRecvMismatch is verifyReference's verdict on a receive buffer that
+// differs from the reference unpack.
+var errRecvMismatch = errors.New("receive buffer differs from reference unpack")
 
 // verifyReference checks the receive buffer byte-for-byte against the
-// reference unpack of the packed stream: a zeroed buffer with the stream
-// scattered through the datatype's region program.
+// reference unpack of the packed stream: a zeroed buffer of hi bytes with
+// the stream scattered through the datatype's region program.
 //
-// For monotone, non-overlapping typemaps (every valid receive datatype) the
-// comparison runs in place: each region must equal its slice of the packed
-// stream and every gap between regions must still be zero — exactly the
-// bytes a reference ddt.Unpack into a zeroed buffer would produce, without
-// materializing that buffer. Non-monotone typemaps fall back to the
-// materialized reference.
+// For monotone typemaps (every valid receive datatype) the plan's Verify
+// kernel compares in place: each region must equal its slice of the
+// packed stream and every other byte of dst[:hi] must still be zero —
+// exactly the bytes a reference ddt.Unpack into a zeroed buffer would
+// produce, without materializing that buffer. Non-monotone typemaps, and
+// types without a plan, fall back to the materialized reference.
 func verifyReference(typ *ddt.Type, count int, packed, dst []byte, hi int64) error {
-	monotone := true
-	mismatch := false
-	var pos, cursor int64 // stream position; end of the previous region
-	typ.ForEachBlock(count, func(off, size int64) {
-		if !monotone {
-			return
-		}
-		if off < cursor || off+size > hi {
-			monotone = false
-			return
-		}
-		// A mismatch stays tentative until the whole walk proves the
-		// typemap monotone: with interleaved elements a "gap" legitimately
-		// holds data from a later region, and only the fallback can judge.
-		if !mismatch {
-			if !allZero(dst[cursor:off]) ||
-				!bytes.Equal(dst[off:off+size], packed[pos:pos+size]) {
-				mismatch = true
-			} else {
-				pos += size
-			}
-		}
-		cursor = off + size
-	})
-	if monotone {
-		if mismatch || !allZero(dst[cursor:hi]) {
-			return fmt.Errorf("receive buffer differs from reference unpack")
-		}
-		return nil
-	}
+	return verifyRecv(typ, count, packed, dst, hi, nil)
+}
 
-	want := getZeroBuf(hi)
+// verifyRecv is verifyReference that also hands a pooled receive buffer
+// (dstBuf, whose slice is dst) back to its pool: re-zeroed to the clean
+// pool when it verifies, to the dirty pool when it does not. The monotone
+// kernel clears each region as it checks it, so a verified buffer is zero
+// again after one walk. With dstBuf nil, dst is the caller's and is never
+// written.
+func verifyRecv(typ *ddt.Type, count int, packed, dst []byte, hi int64, dstBuf *[]byte) error {
+	var err error
+	if p := typ.Plan(); p != nil && p.Monotone(count) {
+		if !p.Verify(count, packed, dst[:hi], dstBuf != nil) {
+			err = errRecvMismatch
+		}
+	} else if err = verifyMaterialized(typ, count, packed, dst[:hi]); err == nil && dstBuf != nil {
+		clear(dst[:hi])
+	}
+	if dstBuf != nil {
+		if err != nil {
+			putBuf(dstBuf)
+		} else {
+			putCleanBuf(dstBuf)
+		}
+	}
+	return err
+}
+
+// verifyMaterialized compares dst with a reference ddt.Unpack of packed
+// into a zeroed buffer of len(dst) bytes.
+func verifyMaterialized(typ *ddt.Type, count int, packed, dst []byte) error {
+	want := getZeroBuf(int64(len(dst)))
 	if err := ddt.Unpack(typ, count, packed, *want); err != nil {
 		return err
 	}
 	if !bytes.Equal(dst, *want) {
-		return fmt.Errorf("receive buffer differs from reference unpack")
+		return errRecvMismatch
 	}
 	putBuf(want)
 	return nil
-}
-
-// zeros backs the vectorized gap checks of verifyReference.
-var zeros [64 << 10]byte
-
-// allZero reports whether every byte of b is zero.
-func allZero(b []byte) bool {
-	for len(b) > len(zeros) {
-		if !bytes.Equal(b[:len(zeros)], zeros[:]) {
-			return false
-		}
-		b = b[len(zeros):]
-	}
-	return bytes.Equal(b, zeros[:len(b)])
 }
 
 func singleMatchPT(me *portals.ME) *portals.PT {

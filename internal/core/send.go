@@ -109,20 +109,11 @@ func (b *txBuild) prep() HostPrep {
 // handle committed for an offloaded receive sends through the same
 // committed layout.
 func (h *TypeHandle) buildTx(count int) (*txBuild, error) {
-	h.mu.Lock()
-	if h.freed {
-		h.mu.Unlock()
-		return nil, fmt.Errorf("core: %v handle for %s is freed", h.strategy, h.typ.Name())
+	cb, err := h.builtFor(count)
+	if err != nil {
+		return nil, err
 	}
-	if h.txBuilds == nil {
-		h.txBuilds = make(map[int]*txBuild)
-	}
-	b, ok := h.txBuilds[count]
-	if !ok {
-		b = &txBuild{}
-		h.txBuilds[count] = b
-	}
-	h.mu.Unlock()
+	b := &cb.tx
 	b.once.Do(func() {
 		sess := h.sess
 		typ := h.typ

@@ -277,19 +277,37 @@ func (s *Session) isClosed() bool {
 
 // TypeHandle is a committed datatype bound to a session and a strategy —
 // what MPI_Type_commit returns in a library built on this API. The
-// handle's offload state is built exactly once per element count and
-// reused by every post; Free releases the handle (the session drops it and
-// further posts fail).
+// handle's offload state is built once per element count and reused by
+// every post of that count while the count stays among the handle's
+// recent ones; Free releases the handle (the session drops it and further
+// posts fail).
 type TypeHandle struct {
 	sess     *Session
 	typ      *ddt.Type
 	strategy Strategy
 	epsilon  float64 // per-handle checkpoint tolerance (0 = session default)
 
-	mu       sync.Mutex
-	builds   map[int]*handleBuild // receive-side offload state, by count
-	txBuilds map[int]*txBuild     // sender-side gather state, by count
-	freed    bool
+	// builds holds the handle's built state for at most
+	// handleBuildBudget counts: a count evicted by newer ones is rebuilt
+	// through the shared caches and, as a fresh build, reports its host
+	// prep again.
+	builds clockCache[int, *countBuilds]
+
+	mu    sync.Mutex
+	freed bool
+}
+
+// handleBuildBudget bounds the counts a handle keeps built. A client
+// posting one handle at ever new counts would otherwise hold one built
+// template per count for the handle's whole life.
+const handleBuildBudget = 32
+
+// countBuilds is a handle's state for one count: the receive-side
+// offload build and the sender-side gather build, each built on its
+// direction's first use.
+type countBuilds struct {
+	rx handleBuild
+	tx txBuild
 }
 
 // handleBuild is the once-built offload state of one (handle, count).
@@ -297,7 +315,6 @@ type handleBuild struct {
 	once     sync.Once
 	err      error
 	template *Offload
-	params   BuildParams
 	// posted flips on the first flushed post: Fig. 18 semantics — the
 	// first post pays the host preparation, subsequent posts report zero.
 	posted atomic.Bool
@@ -332,33 +349,41 @@ func (h *TypeHandle) markFreed() {
 	h.mu.Unlock()
 }
 
-// build returns the once-built offload state for count elements, building
-// it on first use. Concurrent calls for the same count build exactly once.
-func (h *TypeHandle) build(count int) (*handleBuild, error) {
+// builtFor returns the handle's state for count elements, adding it on
+// first use. Concurrent calls for the same count share one state, unless
+// the count is evicted in between.
+func (h *TypeHandle) builtFor(count int) (*countBuilds, error) {
 	h.mu.Lock()
-	if h.freed {
-		h.mu.Unlock()
+	freed := h.freed
+	h.mu.Unlock()
+	if freed {
 		return nil, fmt.Errorf("core: %v handle for %s is freed", h.strategy, h.typ.Name())
 	}
-	if h.builds == nil {
-		h.builds = make(map[int]*handleBuild)
-	}
-	b, ok := h.builds[count]
+	cb, ok := h.builds.get(count)
 	if !ok {
+		cb = h.builds.put(count, new(countBuilds), 1, handleBuildBudget)
+	}
+	return cb, nil
+}
+
+// build returns the once-built offload state for count elements, building
+// it on first use.
+func (h *TypeHandle) build(count int) (*handleBuild, error) {
+	cb, err := h.builtFor(count)
+	if err != nil {
+		return nil, err
+	}
+	b := &cb.rx
+	b.once.Do(func() {
 		eps := h.sess.cfg.Epsilon
 		if h.epsilon > 0 {
 			eps = h.epsilon
 		}
-		b = &handleBuild{params: BuildParams{
+		b.template, b.err = h.sess.caches.buildOffload(h.strategy, BuildParams{
 			Type: h.typ, Count: count,
 			NIC: h.sess.cfg.NIC, Cost: h.sess.cfg.Cost, Host: h.sess.cfg.Host,
 			Epsilon: eps, PktBufBytes: h.sess.cfg.PktBufBytes,
-		}}
-		h.builds[count] = b
-	}
-	h.mu.Unlock()
-	b.once.Do(func() {
-		b.template, b.err = h.sess.caches.buildOffload(h.strategy, b.params)
+		})
 	})
 	if b.err != nil {
 		return nil, b.err
@@ -427,10 +452,12 @@ type PostOpts struct {
 	Seed int64
 	// Packed, when non-nil, is the caller's wire stream — it must be
 	// exactly the datatype's packed size (Type.Size() * count) and is
-	// retained until the flush. This is how a served transfer hands the
-	// bytes that actually crossed the wire to the scatter: the session
-	// server posts each client payload through it, so verification checks
-	// true wire content, not a synthesized stand-in.
+	// retained, never written, until the flush; nothing reads it after
+	// Flush returns. This is how a served transfer hands the bytes that
+	// actually crossed the wire to the scatter: the session daemon
+	// (internal/server) posts each client stream through it zero-copy,
+	// straight from the transport buffer the stream arrived in, so
+	// verification checks true wire content, not a synthesized stand-in.
 	Packed []byte
 	// Start is when the message's first bit leaves its sender; staggering
 	// starts models an incast ramp.
@@ -672,16 +699,10 @@ func (ep *Endpoint) finishOp(op *postOp, nicRes nic.Result) (Result, error) {
 		res.Prep = op.off.Prep
 	}
 	if !op.opts.NoVerify {
-		if err := verifyReference(typ, op.count, op.packed, op.dst, op.hi); err != nil {
-			if op.dstBuf != nil {
-				putBuf(op.dstBuf) // holds the mismatching scatter: dirty pool
-			}
+		if err := verifyRecv(typ, op.count, op.packed, op.dst, op.hi, op.dstBuf); err != nil {
 			return Result{}, fmt.Errorf("core: %v (backend %s): %w", op.h.strategy, ep.sess.backend.Name(), err)
 		}
 		res.Verified = true
-		if op.dstBuf != nil {
-			releaseRecvBuf(typ, op.count, op.dstBuf)
-		}
 	} else if op.dstBuf != nil {
 		putBuf(op.dstBuf)
 	}

@@ -437,3 +437,58 @@ func TestPostCallerPacked(t *testing.T) {
 		t.Fatal("undersized packed stream accepted")
 	}
 }
+
+// TestHandleBuildsBounded posts and sends one handle at 10^4 distinct
+// counts: the handle keeps the builds of at most handleBuildBudget
+// counts, every post still verifies, and a count evicted by newer ones is
+// built afresh, so its next post reports host prep again.
+func TestHandleBuildsBounded(t *testing.T) {
+	cfg := NewSessionConfig()
+	cfg.Backend = MemBackend{}
+	sess := NewSession(cfg)
+	defer sess.Close()
+	// One fused region per message keeps 10^4 verified posts cheap.
+	typ := ddt.MustContiguous(2, ddt.Int)
+	h, err := sess.CommitAs(typ, Specialized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const counts = 10000
+	stream := make([]byte, typ.Size()*counts)
+	fillPayload(3, stream)
+	ep := sess.Endpoint(EndpointConfig{})
+	post := func(count int) Result {
+		t.Helper()
+		n := typ.Size() * int64(count)
+		fut, err := ep.Post(h, count, PostOpts{Packed: stream[:n]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ep.Send(h, count, SendOpts{Src: stream[:n]}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ep.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := fut.Wait()
+		if err != nil || !res.Verified {
+			t.Fatalf("count %d: verified=%v err=%v", count, res.Verified, err)
+		}
+		return res
+	}
+	if res := post(1); res.Prep == (HostPrep{}) {
+		t.Fatal("first post of count 1 reports no host prep")
+	}
+	if res := post(1); res.Prep != (HostPrep{}) {
+		t.Fatalf("second post of count 1 reports host prep %+v", res.Prep)
+	}
+	for count := 2; count <= counts; count++ {
+		post(count)
+		if n := len(h.builds.index); n > handleBuildBudget {
+			t.Fatalf("after count %d the handle holds %d builds, budget %d", count, n, handleBuildBudget)
+		}
+	}
+	if res := post(1); res.Prep == (HostPrep{}) {
+		t.Fatal("evicted count 1 was not rebuilt: its post reports no host prep")
+	}
+}

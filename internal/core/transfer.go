@@ -217,11 +217,10 @@ func (s *Session) RunTransfer(req TransferRequest) (TransferResult, error) {
 				return TransferResult{}, fmt.Errorf("core: transfer %v->%v: wire stream differs from reference pack", req.Send, req.Recv)
 			}
 		}
-		if err := verifyReference(recvTyp, req.Count, packed, dst, rHi); err != nil {
+		if err := verifyRecv(recvTyp, req.Count, packed, dst, rHi, dstBuf); err != nil {
 			return TransferResult{}, fmt.Errorf("core: transfer %v->%v: %w", req.Send, req.Recv, err)
 		}
 		res.Verified = true
-		releaseRecvBuf(recvTyp, req.Count, dstBuf)
 	} else {
 		putBuf(dstBuf)
 	}

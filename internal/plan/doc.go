@@ -52,6 +52,14 @@
 // Equal verifies a wire stream against the source image region by region
 // without materializing a reference pack.
 //
+// Verify is the receive-side check: for a Monotone layout (regions
+// ascending without overlap from offset 0 on, decided at Lower) it reports
+// whether a receive buffer is exactly the reference unpack of a stream —
+// every region equal to its slice of the stream, every other byte zero —
+// and can re-zero each region in the same walk, so a pooled receive buffer
+// that verifies goes back clean. It runs per kernel kind with no callback
+// per region and allocates nothing.
+//
 // # Resolvers
 //
 // Gather is the per-packet resolver of a committed message: it maps a

@@ -73,6 +73,13 @@ type Plan struct {
 	// Offsets kernels execute it directly.
 	tiles    [][]Region
 	nregions int64
+
+	// Verify's preconditions, decided at Lower: ascending reports that
+	// one element's regions ascend without overlap from offset 0 on, end
+	// is where its last region ends, and span is the distance from its
+	// first region's start to end.
+	ascending bool
+	end, span int64
 }
 
 // Kind returns the selected kernel family.
@@ -93,10 +100,21 @@ const wideMoveMax = 32
 // Lower selects the execution plan of a region program. It never fails:
 // the Offsets kernel executes any program.
 func Lower(pr Program) *Plan {
-	p := &Plan{kind: Offsets, size: pr.Size, extent: pr.Extent, fuse: pr.Fuse, tiles: pr.Tiles}
+	p := &Plan{kind: Offsets, size: pr.Size, extent: pr.Extent, fuse: pr.Fuse, tiles: pr.Tiles, ascending: true}
+	first := int64(0)
 	for _, t := range pr.Tiles {
-		p.nregions += int64(len(t))
+		for _, r := range t {
+			if p.nregions == 0 {
+				first = r.Offset
+			}
+			if r.Offset < p.end {
+				p.ascending = false
+			}
+			p.end = r.Offset + r.Size
+			p.nregions++
+		}
 	}
+	p.span = p.end - first
 	if p.nregions == 0 || len(pr.Tiles) != 1 {
 		return p
 	}

@@ -25,6 +25,25 @@ func refPack(pr Program, count int, src []byte) []byte {
 	return out
 }
 
+// refScatter is the brute-force reference unpack: packed scattered
+// through every region of count elements into a zeroed buffer of hi
+// bytes.
+func refScatter(pr Program, count int, packed []byte, hi int64) []byte {
+	out := make([]byte, hi)
+	base := int64(0)
+	pos := int64(0)
+	for e := 0; e < count; e++ {
+		for _, tile := range pr.Tiles {
+			for _, r := range tile {
+				copy(out[base+r.Offset:base+r.Offset+r.Size], packed[pos:pos+r.Size])
+				pos += r.Size
+			}
+		}
+		base += pr.Extent
+	}
+	return out
+}
+
 // footprint returns the byte range the program's regions touch for count
 // elements.
 func footprint(pr Program, count int) int64 {
@@ -64,18 +83,7 @@ func checkKernels(t *testing.T, pr Program, count int) {
 		t.Fatalf("%v PackSum = %08x (bytes ok=%v), want %08x", p.Kind(), got, bytes.Equal(dst2, want), sum)
 	}
 
-	wantScatter := make([]byte, hi)
-	base := int64(0)
-	pos := int64(0)
-	for e := 0; e < count; e++ {
-		for _, tile := range pr.Tiles {
-			for _, r := range tile {
-				copy(wantScatter[base+r.Offset:base+r.Offset+r.Size], want[pos:pos+r.Size])
-				pos += r.Size
-			}
-		}
-		base += pr.Extent
-	}
+	wantScatter := refScatter(pr, count, want, hi)
 	out := make([]byte, hi)
 	p.Unpack(count, want, out)
 	if !bytes.Equal(out, wantScatter) {

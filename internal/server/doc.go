@@ -21,6 +21,32 @@
 // daemon keeps hitting on its current working set at bounded memory;
 // Stats().Caches counts their hits, misses and evictions.
 //
+// # Zero-copy posts
+//
+// A post's packed stream is scattered and verified straight from the
+// pooled transport buffer it was reassembled into; the daemon copies it
+// nowhere. DecodeRequest slices the stream out of the payload, and the
+// request takes the transport message over. Each message has one owner
+// at a time: the dispatcher from Recv until it enqueues the request, the
+// session's worker from dequeue on. The buffer goes back to the
+// transport's pool exactly once:
+//
+//   - at once, for every request without a stream, a request that fails
+//     to decode, and ReqStats;
+//   - on every routing rejection (session 0, duplicate open, session
+//     limit, closed server, unknown session, StatusBusy);
+//   - on every post rejection by the worker (unknown or freed handle,
+//     bad count, byte budget, a core.Endpoint.Post error);
+//   - after the ReqFlush that ran the post, once the flush has returned
+//     and the future statuses are read;
+//   - when the worker exits (close, reap, shutdown), for posts never
+//     flushed and for requests still queued; route enqueues under the
+//     server lock, so the exiting worker sees every request routed to it
+//     and answers each with StatusUnknownSession.
+//
+// Stats().HeldPosts counts the posts whose stream the daemon holds in a
+// transport buffer; it reads 0 once every session has flushed or gone.
+//
 // # Request wire protocol
 //
 // A request is one transport message: the fixed 20-byte request header

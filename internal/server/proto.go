@@ -7,6 +7,7 @@ import (
 
 	"spinddt/internal/core"
 	"spinddt/internal/ddt"
+	"spinddt/internal/transport"
 )
 
 // protoVersion is the request/response framing version.
@@ -156,8 +157,14 @@ type Request struct {
 	// wire encoding (the server's commit-dedup key).
 	Type    *ddt.Type
 	RawType []byte
-	// Packed is a post request's optional caller-packed wire stream.
+	// Packed is a post request's optional caller-packed wire stream. A
+	// decoded request's Packed aliases the payload it was decoded from.
 	Packed []byte
+
+	// msg is the transport message whose pooled buffer a served post's
+	// Packed aliases; the daemon releases it once nothing reads the
+	// stream any more.
+	msg *transport.Message
 }
 
 // EncodeRequest serializes the request into its transport message
@@ -184,9 +191,10 @@ func EncodeRequest(r *Request) (hdr, payload []byte) {
 }
 
 // DecodeRequest parses one request from its transport message parts.
-// The returned request owns its memory: the datatype is rebuilt from
-// the encoding and the packed stream is copied, so the caller may
-// release the message buffers immediately.
+// A commit's datatype is rebuilt from the encoding and the encoding is
+// copied, so both outlive the message. A post's packed stream is not
+// copied: the request's Packed aliases payload, and the caller keeps
+// the message (and its pooled buffer) while the request is in use.
 func DecodeRequest(hdr, payload []byte) (*Request, error) {
 	if len(hdr) != reqHdrSize {
 		return nil, fmt.Errorf("server: request header %d bytes, want %d", len(hdr), reqHdrSize)
@@ -218,7 +226,7 @@ func DecodeRequest(hdr, payload []byte) (*Request, error) {
 		r.RawType = append([]byte(nil), payload...)
 	case ReqPost:
 		if len(payload) > 0 {
-			r.Packed = append([]byte(nil), payload...)
+			r.Packed = payload
 		}
 	default:
 		return nil, fmt.Errorf("server: unknown request kind %d", r.Kind)

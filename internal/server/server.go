@@ -74,6 +74,9 @@ type Stats struct {
 	Reaped     int64 // sessions closed by the idle reaper
 	Requests   int64 // requests dispatched
 	Rejections int64 // typed rejections returned
+	// HeldPosts is the number of posts whose packed stream the daemon
+	// holds in a transport buffer: posted, not yet flushed or dropped.
+	HeldPosts int64
 	// Transport is the daemon socket's wire counters: frames, acks and
 	// the conn calls that carried them.
 	Transport transport.Stats
@@ -101,7 +104,7 @@ type Server struct {
 
 	wg    sync.WaitGroup
 	stats struct {
-		opened, closed, reaped, requests, rejections atomic.Int64
+		opened, closed, reaped, requests, rejections, heldPosts atomic.Int64
 	}
 }
 
@@ -128,6 +131,9 @@ type peerSession struct {
 	futures    []pendingFuture
 	nextFuture uint32
 	pending    int64 // bytes accounted against Config.ByteBudget
+	// held are the transport messages whose buffers the unflushed posts'
+	// streams alias; the next flush releases them.
+	held []*transport.Message
 
 	lastActive time.Time // guarded by Server.mu
 }
@@ -170,6 +176,7 @@ func (s *Server) Stats() Stats {
 		Reaped:     s.stats.reaped.Load(),
 		Requests:   s.stats.requests.Load(),
 		Rejections: s.stats.rejections.Load(),
+		HeldPosts:  s.stats.heldPosts.Load(),
 		Transport:  s.ep.Stats(),
 		Caches:     s.caches.Stats(),
 	}
@@ -204,6 +211,10 @@ func (s *Server) logf(format string, args ...any) {
 // routes it to its session's worker. It never blocks on a response
 // send — typed rejections for sessionless requests go out on their own
 // goroutines, everything else through the per-session queue.
+//
+// A post's stream stays in the message it arrived in: the request takes
+// the message over (hold), and whoever drops or finishes the request
+// releases it. Every other request keeps nothing of its message.
 func (s *Server) dispatchLoop() {
 	defer s.wg.Done()
 	for {
@@ -214,7 +225,11 @@ func (s *Server) dispatchLoop() {
 		s.stats.requests.Add(1)
 		req, derr := DecodeRequest(msg.Hdr, msg.Payload)
 		session, id, from := msg.Session, msg.ID, msg.From
-		msg.Release() // DecodeRequest copied what it keeps
+		if derr == nil && req.Packed != nil {
+			s.hold(req, msg)
+		} else {
+			msg.Release()
+		}
 		if derr != nil {
 			s.rejectAsync(session, id, from, 0, StatusBadRequest, derr.Error())
 			continue
@@ -228,28 +243,51 @@ func (s *Server) dispatchLoop() {
 	}
 }
 
+// hold makes req the owner of msg, the message its Packed stream
+// aliases.
+func (s *Server) hold(req *Request, msg transport.Message) {
+	req.msg = &msg
+	s.stats.heldPosts.Add(1)
+}
+
+// release returns the transport buffer a request holds, if any.
+func (s *Server) release(req *Request) {
+	if req.msg != nil {
+		s.releaseMsg(req.msg)
+		req.msg = nil
+	}
+}
+
+// releaseMsg returns one held post's transport buffer to its pool.
+func (s *Server) releaseMsg(m *transport.Message) {
+	m.Release()
+	s.stats.heldPosts.Add(-1)
+}
+
 // route hands one decoded request to its session, creating the session
-// on ReqOpen.
+// on ReqOpen. The enqueue happens under s.mu, so a request either reaches
+// a session still in the routing table, whose worker's final drain will
+// see it, or is rejected here: once a close, reap or shutdown has taken
+// the session out, nothing lands in its queue. The enqueue never blocks,
+// so the lock is never held across a wait.
 func (s *Server) route(session, id uint32, from net.Addr, req *Request) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	p := s.sessions[session]
 	if req.Kind == ReqOpen {
 		switch {
 		case session == 0:
-			s.mu.Unlock()
-			s.rejectAsync(session, id, from, req.Kind, StatusBadRequest, "session id 0 is reserved for the server")
+			s.rejectReq(session, id, from, req, StatusBadRequest, "session id 0 is reserved for the server")
 			return
 		case p != nil:
-			s.mu.Unlock()
-			s.rejectAsync(session, id, from, req.Kind, StatusBadRequest, "session already open")
+			s.rejectReq(session, id, from, req, StatusBadRequest, "session already open")
 			return
 		case len(s.sessions) >= s.cfg.MaxSessions:
-			s.mu.Unlock()
-			s.rejectAsync(session, id, from, req.Kind, StatusSessionLimit,
+			s.rejectReq(session, id, from, req, StatusSessionLimit,
 				fmt.Sprintf("%d sessions open", s.cfg.MaxSessions))
 			return
 		case s.closed:
-			s.mu.Unlock()
+			s.release(req)
 			return
 		}
 		sc := core.NewSessionConfig()
@@ -272,18 +310,23 @@ func (s *Server) route(session, id uint32, from net.Addr, req *Request) {
 		go s.serveSession(p)
 	}
 	if p == nil {
-		s.mu.Unlock()
-		s.rejectAsync(session, id, from, req.Kind, StatusUnknownSession, "")
+		s.rejectReq(session, id, from, req, StatusUnknownSession, "")
 		return
 	}
 	p.lastActive = time.Now()
-	s.mu.Unlock()
 	select {
 	case p.queue <- request{req: req, id: id, from: from}:
 	default:
-		s.rejectAsync(session, id, from, req.Kind, StatusBusy,
+		s.rejectReq(session, id, from, req, StatusBusy,
 			fmt.Sprintf("%d requests queued", cap(p.queue)))
 	}
+}
+
+// rejectReq drops a decoded request: its held buffer goes back, and the
+// client gets the typed rejection.
+func (s *Server) rejectReq(session, id uint32, from net.Addr, req *Request, st Status, detail string) {
+	s.release(req)
+	s.rejectAsync(session, id, from, req.Kind, st, detail)
 }
 
 // rejectAsync sends a typed rejection without blocking the dispatcher.
@@ -311,15 +354,20 @@ func (s *Server) send(session, id uint32, from net.Addr, resp *Response) {
 
 // serveSession is one session's worker: it serves queued requests in
 // order until the session closes, is reaped, or the server shuts down.
+// It owns each request from dequeue on: a post that handle kept moves
+// its message to p.held, and any other request's held buffer is
+// released as soon as handle returns.
 func (s *Server) serveSession(p *peerSession) {
 	defer s.wg.Done()
 	defer p.sess.Close()
+	defer s.drain(p)
 	for {
 		select {
 		case <-p.stop:
 			return
 		case r := <-p.queue:
 			resp := s.handle(p, r.req)
+			s.release(r.req)
 			if resp.Status != StatusOK {
 				s.stats.rejections.Add(1)
 			}
@@ -327,6 +375,30 @@ func (s *Server) serveSession(p *peerSession) {
 			if r.req.Kind == ReqClose && resp.Status == StatusOK {
 				return
 			}
+		}
+	}
+}
+
+// drain runs as a session's worker exits. Every exit path (close, reap,
+// shutdown) has already taken the session out of the routing table, and
+// route enqueues under the same lock, so the queue holds every request
+// that will ever reach the session. The streams of posts never flushed go
+// back, and each queued request is released and answered with
+// StatusUnknownSession, as it would have been had it arrived a moment
+// later.
+func (s *Server) drain(p *peerSession) {
+	for _, m := range p.held {
+		s.releaseMsg(m)
+	}
+	p.held = nil
+	for {
+		select {
+		case r := <-p.queue:
+			s.release(r.req)
+			s.stats.rejections.Add(1)
+			s.send(p.id, r.id, r.from, &Response{Kind: r.req.Kind, Status: StatusUnknownSession})
+		default:
+			return
 		}
 	}
 }
@@ -427,6 +499,11 @@ func (s *Server) handle(p *peerSession, req *Request) *Response {
 		pf.id = p.nextFuture
 		p.futures = append(p.futures, pf)
 		resp.Value = pf.id
+		if req.msg != nil {
+			// The post reads its stream in place at the flush.
+			p.held = append(p.held, req.msg)
+			req.msg = nil
+		}
 
 	case ReqFlush:
 		p.ep.Flush() // per-message status comes from each future
@@ -436,6 +513,13 @@ func (s *Server) handle(p *peerSession, req *Request) *Response {
 		}
 		p.futures = nil
 		p.pending = 0
+		// Every post has been scattered and verified: nothing reads the
+		// streams any more.
+		for i, m := range p.held {
+			s.releaseMsg(m)
+			p.held[i] = nil
+		}
+		p.held = p.held[:0]
 
 	case ReqFree:
 		h, st, detail := p.lookup(req.Handle)
