@@ -15,7 +15,10 @@
 #                instantiate/run/Release on shared, evicting caches)
 #                and the server's post-buffer ownership test at
 #                -count=10 (a served post's transport buffer passes from
-#                the dispatcher to the session worker, which releases it)
+#                the dispatcher to the session worker, which releases it),
+#                and the sharded exchange tests at -count=10 (shards
+#                spread over worker goroutines each own their devices,
+#                DMA engines and held write completions)
 #   loss-matrix  transport + UDP-backend differential tests under -race
 #                at 0%, 1% and 10% injected loss (SPINDDT_LOSS_PCT pins
 #                the rate per matrix shard; see `make loss-matrix`)
@@ -95,14 +98,17 @@ test:
 	$(GO) test ./...
 
 # race runs the concurrent packages under the race detector, then the
-# cache eviction hammer and the server's post-buffer ownership test ten
-# times each: races on state several goroutines reach (evicting caches; a
-# post's transport buffer handed from the dispatcher to the session
-# worker) only show up across many interleavings.
+# cache eviction hammer, the server's post-buffer ownership test and the
+# sharded exchange tests ten times each: races on state several goroutines
+# reach (evicting caches; a post's transport buffer handed from the
+# dispatcher to the session worker; model state of shards run on
+# different workers, which must stay shard-owned) only show up across
+# many interleavings.
 race:
 	$(GO) test -race ./internal/ddt/ ./internal/core/ ./internal/sim/ ./internal/experiments/ ./internal/nic/ ./internal/loggops/ ./internal/fabric/ ./internal/transport/ ./internal/server/
 	$(GO) test -race -count=10 -run '^TestCacheEvictionHammer$$' ./internal/core/
 	$(GO) test -race -count=10 -run '^TestServerPostBufferOwnership$$' ./internal/server/
+	$(GO) test -race -count=10 -run '^(TestRunExchangeDeterminism|TestExchangeConcurrentChunkPool|TestClusterSerialParallelIdentical)$$' ./internal/nic/
 
 # loss-matrix runs the transport and UDP-backend differential tests under
 # -race at every loss rate of the matrix (each CI shard pins one rate via

@@ -578,7 +578,7 @@ func (s *rxSim) finish() (Result, error) {
 	}
 	s.res.ProcTime = s.res.Done - s.res.FirstByte
 	s.res.DMA = s.dmaStats
-	s.res.DMA.Samples = s.dev.dma.stats.Samples
+	s.res.DMA.Samples = s.dev.dma.series()
 	s.res.PktBufPeak = s.maxResident
 	if s.ctx != nil {
 		s.res.NICMemBytes = s.ctx.NICMemBytes

@@ -18,7 +18,8 @@ import (
 
 // This file pins every one-NIC topology — receive batches, send batches,
 // coupled transfers and the one-message conveniences — to digests of its
-// exact results. The figure goldens round to microseconds, so a sub-µs
+// exact results; cluster_digest_test.go adds the sharded cluster runs of
+// ddtbench's "Sharded cluster" table. The figure goldens round to microseconds, so a sub-µs
 // tie-break drift in the device model would pass them; a digest over the
 // full picosecond results plus every destination byte cannot.
 //
@@ -359,7 +360,7 @@ func digestCases() []digestCase {
 			}
 		}
 	}
-	return append(cases,
+	cases = append(cases,
 		digestCase{"send-batch/contended", sendBatchContended},
 		digestCase{"send-batch/shared-context", sendBatchSharedContext},
 		digestCase{"coupled/gathered", coupledGathered},
@@ -370,6 +371,7 @@ func digestCases() []digestCase {
 		digestCase{"send/streaming", sendStreamingOne},
 		digestCase{"send/processput", sendProcessPutOne},
 	)
+	return append(cases, externalDigestCases...)
 }
 
 // anys converts a result slice for digestOf.

@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"math"
+
 	"spinddt/internal/pcie"
 	"spinddt/internal/sim"
 )
@@ -30,12 +32,6 @@ type DMAStats struct {
 	ReadStalls int64
 }
 
-// kindDMADepth adjusts the outstanding-request depth when a write burst
-// completes: ctx is the engine, a the (negative) request delta.
-var kindDMADepth = sim.RegisterKind("nic.dmaDepth", func(ctx any, a, _ int64) {
-	ctx.(*dmaEngine).adjustDepth(int(a))
-})
-
 // dmaEngine models the NIC's DMA write path: a pool of channels each with a
 // fixed per-request occupancy, feeding a shared PCIe link. Writes copy
 // their payload into the destination host buffer immediately (functional
@@ -43,9 +39,22 @@ var kindDMADepth = sim.RegisterKind("nic.dmaDepth", func(ctx any, a, _ int64) {
 // (timing layer). The engine carries no host buffer of its own: a batched
 // receive shares one DMA engine across messages with distinct destination
 // buffers, so the functional store names its buffer per copy.
+//
+// The engine retires its own write completions instead of posting an
+// event per burst: a completion only lowers the queue depth, and the
+// depth is read only at an issue and after the run. Each issued burst
+// goes into held, a FIFO of outstanding bursts. The PCIe link is a FIFO
+// server, so completions come out in issue order, and each burst carries
+// the sequence number its completion event would have had. An issue first
+// retires every held completion that precedes it in (time, seq) order; the
+// engine, to which the dmaEngine is a sim.Holder, retires the rest when a
+// window or the run ends and counts them for its clock and its shard's
+// horizon. Depth, MaxQueueDepth and the depth series are therefore exactly
+// what one event per completion produced. held is a ring that grows only
+// when full, so its capacity follows the peak number of outstanding
+// bursts, not the number of writes.
 type dmaEngine struct {
 	eng      *sim.Engine
-	self     sim.Ctx
 	channels *sim.MultiServer
 	link     sim.Server
 	pcie     pcie.Link
@@ -54,9 +63,20 @@ type dmaEngine struct {
 	depth int
 	stats DMAStats
 
+	held     []heldBurst // ring; its length is zero or a power of two
+	heldHead int
+	heldLen  int
+
 	collectSeries bool
 	sampleStride  int // decimation factor for the depth series
 	sampleSkip    int
+}
+
+// heldBurst is an issued write burst whose completion is not yet retired.
+type heldBurst struct {
+	at   sim.Time // completion time
+	seq  uint64   // the sequence number of its completion event
+	reqs int64
 }
 
 func newDMAEngine(eng *sim.Engine, p pcie.Config, channels int, perReq sim.Time, series bool) *dmaEngine {
@@ -68,14 +88,14 @@ func newDMAEngine(eng *sim.Engine, p pcie.Config, channels int, perReq sim.Time,
 		collectSeries: series,
 		sampleStride:  1,
 	}
-	d.self = eng.Bind(d)
+	eng.Hold(d)
 	return d
 }
 
 // reset rebinds a pooled DMA engine to a new simulation, reusing the channel
-// heap when the pool size is unchanged. A depth series recorded for a prior
-// caller is disowned (the slice escaped into that caller's Result), not
-// truncated.
+// heap when the pool size is unchanged and the held ring. A depth series
+// recorded for a prior caller is disowned (the slice escaped into that
+// caller's Result), not truncated.
 func (d *dmaEngine) reset(eng *sim.Engine, p pcie.Config, channels int, perReq sim.Time, series bool) {
 	d.eng = eng
 	if d.channels == nil || d.channels.Servers() != channels {
@@ -92,10 +112,11 @@ func (d *dmaEngine) reset(eng *sim.Engine, p pcie.Config, channels int, perReq s
 	} else {
 		d.stats = DMAStats{Samples: d.stats.Samples[:0]}
 	}
+	d.heldHead, d.heldLen = 0, 0
 	d.collectSeries = series
 	d.sampleStride = 1
 	d.sampleSkip = 0
-	d.self = eng.Bind(d)
+	eng.Hold(d)
 }
 
 // write issues reqs DMA write requests at the current simulation time,
@@ -104,11 +125,15 @@ func (d *dmaEngine) reset(eng *sim.Engine, p pcie.Config, channels int, perReq s
 // and byte counters land in st — the issuing message's statistics, so a
 // batched receive attributes traffic per message — while queue depth (a
 // physical device property) is tracked in the engine's own stats. It
-// returns the completion time of the last request. The steady-state path
-// performs no heap allocations: the depth completion is a typed event.
+// returns the completion time of the last request. It must be called from
+// a firing event. The steady-state path performs no heap allocations: the
+// completion goes into the held ring.
 func (d *dmaEngine) write(st *DMAStats, reqs int64, totalBytes int64) sim.Time {
 	if reqs <= 0 {
 		return d.eng.Now()
+	}
+	for d.heldLen > 0 && d.eng.Precedes(d.held[d.heldHead].at, d.held[d.heldHead].seq) {
+		d.retireHead()
 	}
 	now := d.eng.Now()
 	_, chanEnd := d.channels.Acquire(now, sim.Time(reqs)*d.perReq)
@@ -119,12 +144,58 @@ func (d *dmaEngine) write(st *DMAStats, reqs int64, totalBytes int64) sim.Time {
 	st.Bytes += totalBytes
 	st.WireBytes += totalBytes + reqs*d.pcie.TLPHeaderBytes
 
-	d.adjustDepth(int(reqs))
+	d.adjustDepth(int(reqs), now)
 	if d.depth > st.MaxQueueDepth {
 		st.MaxQueueDepth = d.depth
 	}
-	d.eng.Post(end, kindDMADepth, d.self, -reqs, 0)
+	d.hold(heldBurst{at: end, seq: d.eng.ReserveSeq(), reqs: reqs})
 	return end
+}
+
+// hold appends b to the held ring, doubling the ring when it is full.
+func (d *dmaEngine) hold(b heldBurst) {
+	if d.heldLen == len(d.held) {
+		ring := make([]heldBurst, max(16, 2*len(d.held)))
+		n := copy(ring, d.held[d.heldHead:])
+		copy(ring[n:], d.held[:d.heldHead])
+		d.held, d.heldHead = ring, 0
+	}
+	d.held[(d.heldHead+d.heldLen)&(len(d.held)-1)] = b
+	d.heldLen++
+}
+
+// retireHead retires the oldest held burst: its requests leave the queue
+// at its completion time.
+func (d *dmaEngine) retireHead() {
+	b := d.held[d.heldHead]
+	d.heldHead = (d.heldHead + 1) & (len(d.held) - 1)
+	d.heldLen--
+	d.adjustDepth(-int(b.reqs), b.at)
+}
+
+// NextHeld implements sim.Holder: the earliest unretired completion.
+func (d *dmaEngine) NextHeld() (sim.Time, bool) {
+	if d.heldLen == 0 {
+		return 0, false
+	}
+	return d.held[d.heldHead].at, true
+}
+
+// RetireBefore implements sim.Holder: it retires, in issue order, the
+// completions before limit.
+func (d *dmaEngine) RetireBefore(limit sim.Time) (last sim.Time, ok bool) {
+	for d.heldLen > 0 && d.held[d.heldHead].at < limit {
+		last, ok = d.held[d.heldHead].at, true
+		d.retireHead()
+	}
+	return last, ok
+}
+
+// series returns the depth series (Fig. 15), retiring every completion
+// still held first.
+func (d *dmaEngine) series() []QueueSample {
+	d.RetireBefore(math.MaxInt64)
+	return d.stats.Samples
 }
 
 // read models a DMA read from host memory (the iovec-refill path): the
@@ -134,9 +205,10 @@ func (d *dmaEngine) readLatency(st *DMAStats) sim.Time {
 	return d.pcie.ReadLatency
 }
 
-// adjustDepth tracks the physical queue depth (per-message peaks are
-// recorded at issue time in write; d.stats only carries the depth series).
-func (d *dmaEngine) adjustDepth(delta int) {
+// adjustDepth tracks the physical queue depth, sampling the series at time
+// at (per-message peaks are recorded at issue time in write; d.stats only
+// carries the depth series).
+func (d *dmaEngine) adjustDepth(delta int, at sim.Time) {
 	d.depth += delta
 	if !d.collectSeries {
 		return
@@ -144,7 +216,7 @@ func (d *dmaEngine) adjustDepth(delta int) {
 	d.sampleSkip++
 	if d.sampleSkip >= d.sampleStride {
 		d.sampleSkip = 0
-		d.stats.Samples = append(d.stats.Samples, QueueSample{At: d.eng.Now(), Depth: d.depth})
+		d.stats.Samples = append(d.stats.Samples, QueueSample{At: at, Depth: d.depth})
 		if len(d.stats.Samples) >= 16384 {
 			// Decimate in place: keep every other sample, double the stride.
 			kept := d.stats.Samples[:0]

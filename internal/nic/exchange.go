@@ -85,9 +85,12 @@ type ExchangeResult struct {
 	// like Recvs.
 	Notified [][]sim.Time
 	// Makespan is the latest event fired in any domain; Windows the
-	// number of conservative synchronization rounds (executor-invariant).
+	// number of conservative synchronization rounds and Events the number
+	// of events fired in all domains (both executor-invariant; the DMA
+	// engines' held write completions are not events).
 	Makespan sim.Time
 	Windows  uint64
+	Events   uint64
 }
 
 // kindRxArrivalAt delivers a fabric-coupled packet: b carries the arrival
@@ -414,6 +417,7 @@ func RunExchange(eps []ExchangeEndpoint, workers int) (ExchangeResult, error) {
 
 	res.Makespan = pe.Run()
 	res.Windows = pe.Windows()
+	res.Events = pe.Fired()
 	for e := range eps {
 		for mi, s := range rxSims[e] {
 			r, err := s.finish()

@@ -145,7 +145,7 @@ func ReceiveIovec(cfg Config, regions []IovecRegion, packed, host []byte) (Resul
 	res.Done = s.lastWrite
 	res.ProcTime = res.Done - res.FirstByte
 	res.DMA = s.stats
-	res.DMA.Samples = s.dma.stats.Samples
+	res.DMA.Samples = s.dma.series()
 	// The iovec list lives in host memory; only the cached entries occupy
 	// NIC memory.
 	res.NICMemBytes = int64(cfg.IovecEntries) * 16

@@ -230,11 +230,11 @@ func TestServerPostBufferOwnership(t *testing.T) {
 		waitFor(t, c.srv, "the reap", reapedIs(1))
 		gb.open()
 		c.await(flush)
-		// The worker may take the queued post before it sees the stop, so
-		// the post is either answered and then dropped unflushed, or
-		// drained from the queue.
-		if st := c.await(queued).Status; st != server.StatusOK && st != server.StatusUnknownSession {
-			t.Fatalf("post queued behind the reap: %v", st)
+		// The reap closed the session's stop before it was counted, so the
+		// worker, leaving the flush, must refuse the queued post instead
+		// of answering it and dropping it unflushed.
+		if st := c.await(queued).Status; st != server.StatusUnknownSession {
+			t.Fatalf("post queued behind the reap: %v, want %v", st, server.StatusUnknownSession)
 		}
 		waitFor(t, c.srv, "the drain", heldIs(0))
 

@@ -356,7 +356,9 @@ func (s *Server) send(session, id uint32, from net.Addr, resp *Response) {
 // order until the session closes, is reaped, or the server shuts down.
 // It owns each request from dequeue on: a post that handle kept moves
 // its message to p.held, and any other request's held buffer is
-// released as soon as handle returns.
+// released as soon as handle returns. Once p.stop is closed it serves no
+// further request: select picks at random among ready cases, so a
+// request dequeued after the stop is refused like the ones drain finds.
 func (s *Server) serveSession(p *peerSession) {
 	defer s.wg.Done()
 	defer p.sess.Close()
@@ -366,6 +368,12 @@ func (s *Server) serveSession(p *peerSession) {
 		case <-p.stop:
 			return
 		case r := <-p.queue:
+			select {
+			case <-p.stop:
+				s.refuse(p, r)
+				return
+			default:
+			}
 			resp := s.handle(p, r.req)
 			s.release(r.req)
 			if resp.Status != StatusOK {
@@ -394,13 +402,19 @@ func (s *Server) drain(p *peerSession) {
 	for {
 		select {
 		case r := <-p.queue:
-			s.release(r.req)
-			s.stats.rejections.Add(1)
-			s.send(p.id, r.id, r.from, &Response{Kind: r.req.Kind, Status: StatusUnknownSession})
+			s.refuse(p, r)
 		default:
 			return
 		}
 	}
+}
+
+// refuse releases a request the stopped session will never serve and
+// answers it StatusUnknownSession, counted as a rejection.
+func (s *Server) refuse(p *peerSession, r request) {
+	s.release(r.req)
+	s.stats.rejections.Add(1)
+	s.send(p.id, r.id, r.from, &Response{Kind: r.req.Kind, Status: StatusUnknownSession})
 }
 
 // detach removes the session from the routing table; later requests get
@@ -604,9 +618,11 @@ func (s *Server) reapLoop() {
 		}
 		s.mu.Unlock()
 		for _, p := range reaped {
+			// Signal the worker before counting the reap, so a reap that
+			// Stats reports has already closed the session's stop.
+			close(p.stop)
 			s.stats.reaped.Add(1)
 			s.logf("server: session %d reaped after %v idle", p.id, s.cfg.IdleTimeout)
-			close(p.stop)
 		}
 	}
 }

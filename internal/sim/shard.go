@@ -174,6 +174,17 @@ func (p *ParallelEngine) NewShard(name string, lookahead Time) *Shard {
 // safe to report in deterministic outputs.
 func (p *ParallelEngine) Windows() uint64 { return p.windows }
 
+// Fired returns the number of events the shards have executed so far
+// (held events are not counted). Like Windows, it is a pure function of
+// the model.
+func (p *ParallelEngine) Fired() uint64 {
+	var n uint64
+	for _, s := range p.shards {
+		n += s.Fired()
+	}
+	return n
+}
+
 // flush delivers every outbox into its destination engine. For one
 // destination, pending events are merged across sources by (time, source
 // shard, post order) — a total order derived only from model state — and
@@ -283,7 +294,7 @@ func (p *ParallelEngine) lbts() (Time, bool) {
 	horizon := Time(1)<<62 + 1
 	ok := false
 	for _, s := range p.shards {
-		next, pending := s.queue.peekTime()
+		next, pending := s.nextTime()
 		if !pending {
 			continue
 		}

@@ -30,6 +30,9 @@
 // (time, seq). Two runs issuing the same schedule calls in the same order
 // observe the same firing order, byte for byte, regardless of queue
 // internals. Scheduling in the past panics rather than reordering time.
+// Events a model holds off the queue (see "Held events") take their
+// sequence numbers from the same counter, so they keep their place in
+// that order.
 //
 // # Typed events
 //
@@ -41,6 +44,22 @@
 // thin compatibility wrappers that bind a func() and dispatch it through
 // the same table, for callers and tests that do not need the
 // allocation-free path.
+//
+// # Held events
+//
+// A model may keep events off the queue when all they would do is update
+// its own state: the NIC's DMA engine retires its write completions
+// itself instead of posting one event per completion. Such a model is a
+// Holder. It stamps each held event with the sequence number the event
+// would have carried (Engine.ReserveSeq), so Engine.Precedes orders it
+// against the firing event by exactly (time, seq), and it retires a held
+// event before acting on anything that event would have changed. The
+// engine counts held events wherever event times are visible: a shard's
+// earliest pending time (and so the sharded horizon) is the earlier of
+// its queue head and its first held event, and when a window or a run
+// ends, the held events below its limit retire and the clock advances to
+// the latest of them, as firing them would have. A held event is not
+// counted by Fired.
 //
 // # Sharded parallel execution
 //
@@ -170,14 +189,31 @@ func RegisterKind(name string, fn HandlerFunc) Kind {
 	return k
 }
 
+// Holder is model state that keeps its own events off the queue (see the
+// package doc, "Held events"). Like every object bound to an engine, it
+// belongs to that engine (in a sharded run, to that shard). The engine
+// calls it between events only.
+type Holder interface {
+	// NextHeld returns the time of the earliest held event; ok is false
+	// when none is held.
+	NextHeld() (t Time, ok bool)
+	// RetireBefore retires, in (time, seq) order, every held event with
+	// a time strictly below limit, and returns the latest time it
+	// retired (ok is false when it retired none). It must not schedule
+	// events.
+	RetireBefore(limit Time) (last Time, ok bool)
+}
+
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // ready to use.
 type Engine struct {
 	now      Time
 	nextSeq  uint64
+	cur      uint64 // sequence number of the event firing (or last fired)
 	fired    uint64
 	ctxs     []any
 	funcFree []Ctx // recycled context slots of fired At/After closures
+	holders  []Holder
 	queue    calQueue
 }
 
@@ -208,8 +244,11 @@ func (e *Engine) Reset() {
 	}
 	e.ctxs = e.ctxs[:0]
 	e.funcFree = e.funcFree[:0]
+	clear(e.holders)
+	e.holders = e.holders[:0]
 	e.now = 0
 	e.nextSeq = 0
+	e.cur = 0
 	e.fired = 0
 }
 
@@ -221,13 +260,54 @@ func (e *Engine) Bind(obj any) Ctx {
 	return Ctx(len(e.ctxs) - 1)
 }
 
+// Hold registers h, whose held events the engine counts for its clock
+// and its shard's horizon until Reset.
+func (e *Engine) Hold(h Holder) { e.holders = append(e.holders, h) }
+
+// ReserveSeq returns the sequence number an event posted now would carry,
+// for a Holder to stamp a held event with, and consumes it.
+func (e *Engine) ReserveSeq() uint64 {
+	seq := e.nextSeq
+	e.nextSeq++
+	return seq
+}
+
+// Precedes reports whether an event stamped (t, seq) fires before the
+// event now firing, under the exact (time, seq) order.
+func (e *Engine) Precedes(t Time, seq uint64) bool {
+	return t < e.now || t == e.now && seq < e.cur
+}
+
+// nextTime returns the time of the earliest pending event, queued or held.
+func (e *Engine) nextTime() (Time, bool) {
+	next, ok := e.queue.peekTime()
+	for _, h := range e.holders {
+		if t, held := h.NextHeld(); held && (!ok || t < next) {
+			next, ok = t, true
+		}
+	}
+	return next, ok
+}
+
+// retireHeld retires every held event strictly below limit and advances
+// the clock to the latest of them, as firing them would have.
+func (e *Engine) retireHeld(limit Time) {
+	for _, h := range e.holders {
+		if t, ok := h.RetireBefore(limit); ok && t > e.now {
+			e.now = t
+		}
+	}
+}
+
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired returns the number of events executed so far.
+// Fired returns the number of events executed so far (held events are
+// not counted).
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still queued.
+// Pending returns the number of events still queued (held events are not
+// counted).
 func (e *Engine) Pending() int { return e.queue.len() }
 
 // SetEventSpacing adapts the calendar-queue geometry to a model whose
@@ -288,34 +368,40 @@ func (e *Engine) After(delay Time, fn func()) {
 }
 
 // runBefore executes events with timestamps strictly below limit,
-// including events those executions schedule below the limit. It is the
-// window step of the sharded executor: the clock is left at the last fired
-// event (never advanced artificially), so a later window continues exactly
-// where a plain Run would be.
+// including events those executions schedule below the limit, and
+// retires the held events below it. It is the window step of the sharded
+// executor: the clock is left at the last fired or retired event (never
+// advanced artificially), so a later window continues exactly where a
+// plain Run would be.
 func (e *Engine) runBefore(limit Time) {
 	for e.queue.len() > 0 && e.queue.peek().at < limit {
 		e.step()
 	}
+	e.retireHeld(limit)
 }
 
-// Run executes events until the queue is empty and returns the final time.
+// Run executes events until the queue is empty, retires every held event
+// and returns the final time.
 func (e *Engine) Run() Time {
 	for e.queue.len() > 0 {
 		e.step()
 	}
+	e.retireHeld(math.MaxInt64)
 	return e.now
 }
 
 // RunUntil executes events with timestamps <= deadline, including events
-// those executions schedule at or before the deadline. Events beyond the
-// deadline remain queued; the clock is left at the deadline or at the last
-// fired event, whichever is later — in particular, when the queue drains
+// those executions schedule at or before the deadline, and retires the
+// held events at or before it. Events beyond the deadline remain queued
+// (or held); the clock is left at the deadline or at the last fired or
+// retired event, whichever is later — in particular, when the queue drains
 // with its last event exactly at the deadline, the clock rests at the
 // deadline and a later RunUntil with the same deadline is a no-op.
 func (e *Engine) RunUntil(deadline Time) Time {
 	for e.queue.len() > 0 && e.queue.peek().at <= deadline {
 		e.step()
 	}
+	e.retireHeld(min(deadline, math.MaxInt64-1) + 1)
 	if e.now < deadline {
 		e.now = deadline
 	}
@@ -325,6 +411,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 func (e *Engine) step() {
 	ev := e.queue.pop()
 	e.now = ev.at
+	e.cur = ev.seq
 	e.fired++
 	ctx := e.ctxs[ev.ctx]
 	if ev.kind == KindFunc {
