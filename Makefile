@@ -19,9 +19,9 @@
 #                and the sharded exchange tests at -count=10 (shards
 #                spread over worker goroutines each own their devices,
 #                DMA engines and held write completions)
-#   loss-matrix  transport + UDP-backend differential tests under -race
-#                at 0%, 1% and 10% injected loss (SPINDDT_LOSS_PCT pins
-#                the rate per matrix shard; see `make loss-matrix`)
+#   loss-matrix  the transport's loss-matrix test under -race at 0%, 1%
+#                and 10% injected loss (SPINDDT_LOSS_PCT pins the rate
+#                per matrix shard; see `make loss-matrix`)
 #   bench-gate   `make bench-check` — reruns the core benchmarks
 #                (best-of-$(BENCH_COUNT) per benchmark) and gates them
 #                against the checked-in BENCH_BASELINE.json (exit
@@ -40,9 +40,10 @@
 #                per matrix shard; every delivered buffer is
 #                byte-verified server-side
 #   fuzz-smoke   `make fuzz-smoke` — a FUZZTIME fuzzing budget per wire
-#                decoder: the server request/response framing plus the
-#                transport frame and block-program decoders (seed
-#                corpora committed under each package's testdata/fuzz/)
+#                decoder: the server request/response framing (whose
+#                commit requests carry ddt-encoded datatypes) plus the
+#                transport frame decoder (seed corpora committed under
+#                each package's testdata/fuzz/)
 #
 # Refresh the baseline with `make bench-baseline` (on a quiet machine) and
 # the goldens with `make golden` whenever an intentional model change
@@ -110,14 +111,13 @@ race:
 	$(GO) test -race -count=10 -run '^TestServerPostBufferOwnership$$' ./internal/server/
 	$(GO) test -race -count=10 -run '^(TestRunExchangeDeterminism|TestExchangeConcurrentChunkPool|TestClusterSerialParallelIdentical)$$' ./internal/nic/
 
-# loss-matrix runs the transport and UDP-backend differential tests under
-# -race at every loss rate of the matrix (each CI shard pins one rate via
+# loss-matrix runs the transport's loss-matrix test under -race at every
+# loss rate of the matrix (each CI shard pins one rate via
 # SPINDDT_LOSS_PCT).
 loss-matrix:
 	for pct in 0 1 10; do \
 		SPINDDT_LOSS_PCT=$$pct $(GO) test -race -count=1 \
-			-run 'TestLossMatrix|TestUDPBackend' \
-			./internal/transport/ ./internal/core/ || exit 1; \
+			-run 'TestLossMatrix' ./internal/transport/ || exit 1; \
 	done
 
 # soak is the server-soak CI gate: >= 64 concurrent client sessions of
@@ -140,7 +140,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecode$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzResponseDecode$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/transport/
-	$(GO) test -run '^$$' -fuzz '^FuzzBlockProgramDecode$$' -fuzztime $(FUZZTIME) ./internal/transport/
 
 # bench records the core perf trajectory to BENCH_<date>.json (multiple
 # iterations, stable numbers).

@@ -16,9 +16,6 @@ import (
 type BackendEnv struct {
 	NIC  nic.Config
 	Host hostcpu.Config
-	// Counters, when non-nil, receives plan-usage tallies (fused CRC
-	// kernels) from backends that exercise them; nil disables counting.
-	Counters *PlanCounters
 }
 
 // BackendMessage is one posted message in the backend exchange format. The

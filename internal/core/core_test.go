@@ -6,6 +6,8 @@ import (
 
 	"spinddt/internal/ddt"
 	"spinddt/internal/fabric"
+	"spinddt/internal/hostcpu"
+	"spinddt/internal/nic"
 	"spinddt/internal/sim"
 )
 
@@ -328,6 +330,28 @@ func TestBuildOffloadErrors(t *testing.T) {
 	empty := BuildParams{Type: ddt.MustContiguous(0, ddt.Int), Count: 1}
 	if _, err := BuildOffload(Specialized, empty); err == nil {
 		t.Fatal("empty type accepted")
+	}
+}
+
+// TestCheckpointBudgetBelowOneCheckpoint builds RW-CP on a NIC whose
+// memory cannot hold even the dataloop: the checkpoint budget clamps to
+// one checkpoint, so the build holds exactly one and its interval spans
+// the whole message.
+func TestCheckpointBudgetBelowOneCheckpoint(t *testing.T) {
+	cfg := nic.DefaultConfig()
+	cfg.NICMemBytes = 64
+	typ := ddt.MustIndexed([]int{1, 2, 1}, []int{0, 3, 9}, ddt.Int)
+	count := 4096
+	off, err := BuildOffload(RWCP, BuildParams{
+		Type: typ, Count: count,
+		NIC: cfg, Cost: DefaultCostModel(), Host: hostcpu.DefaultConfig(),
+		Epsilon: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := typ.Size() * int64(count); off.Checkpoints != 1 || off.Interval < msg {
+		t.Fatalf("checkpoints %d at interval %d for a %d-byte message, want 1 spanning it", off.Checkpoints, off.Interval, msg)
 	}
 }
 

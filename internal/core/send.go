@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -230,27 +229,9 @@ func (ep *Endpoint) flushSendsLocked() error {
 			sends[i].Msg.Ctx = b.off.Ctx
 		}
 	}
-	env := BackendEnv{NIC: ep.sess.cfg.NIC, Host: ep.sess.cfg.Host, Counters: &ep.sess.caches.counters}
+	env := BackendEnv{NIC: ep.sess.cfg.NIC, Host: ep.sess.cfg.Host}
 	results, err := ep.sess.backend.FlushSends(env, sends)
 	if err != nil {
-		var be *BatchError
-		if errors.As(err, &be) && len(be.Errs) == len(ops) && len(results) == len(ops) {
-			// Partial failure: resolve each send on its own status.
-			var first error
-			for i, op := range ops {
-				op.done = true
-				if opErr := be.Errs[i]; opErr != nil {
-					op.err = opErr
-					putBuf(op.packedBuf)
-				} else {
-					op.res, op.err = ep.finishSendOp(op, results[i])
-				}
-				if op.err != nil && first == nil {
-					first = op.err
-				}
-			}
-			return first
-		}
 		for _, op := range ops {
 			op.done, op.err = true, err
 			putBuf(op.packedBuf)

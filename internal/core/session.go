@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -109,7 +108,6 @@ type Session struct {
 type handleID struct {
 	typ      *ddt.Type
 	strategy Strategy
-	epsilon  float64
 }
 
 // NewSession returns a Session with its own cache set. Traces are
@@ -172,20 +170,6 @@ func (s *Session) Commit(t *ddt.Type) (*TypeHandle, error) {
 // use and shared by every subsequent post of the handle. Commit is
 // concurrency-safe and idempotent per (type, strategy).
 func (s *Session) CommitAs(t *ddt.Type, strategy Strategy) (*TypeHandle, error) {
-	return s.CommitWith(t, strategy, CommitOpts{})
-}
-
-// CommitOpts tunes one committed handle (the MPI_Type_set_attr knobs an
-// MPI library exposes per datatype).
-type CommitOpts struct {
-	// Epsilon overrides the session's checkpoint heuristic tolerance for
-	// this handle (0 = session default).
-	Epsilon float64
-}
-
-// CommitWith is CommitAs with per-handle options; handles are idempotent
-// per (type, strategy, options).
-func (s *Session) CommitWith(t *ddt.Type, strategy Strategy, opts CommitOpts) (*TypeHandle, error) {
 	if t == nil || t.Size() <= 0 {
 		return nil, fmt.Errorf("core: cannot commit an empty datatype")
 	}
@@ -195,11 +179,11 @@ func (s *Session) CommitWith(t *ddt.Type, strategy Strategy, opts CommitOpts) (*
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	id := handleID{typ: t, strategy: strategy, epsilon: opts.Epsilon}
+	id := handleID{typ: t, strategy: strategy}
 	if h, ok := s.handles[id]; ok {
 		return h, nil
 	}
-	h := &TypeHandle{sess: s, typ: t, strategy: strategy, epsilon: opts.Epsilon}
+	h := &TypeHandle{sess: s, typ: t, strategy: strategy}
 	s.handles[id] = h
 	s.caches.counters.notePlan(t.Plan())
 	return h, nil
@@ -245,26 +229,20 @@ func (s *Session) acquireTrace(tr *nic.Trace) (release func()) {
 	}
 }
 
-// Close frees every handle committed on the session and, when the backend
-// owns real resources (an io.Closer — UDPBackend's socket pair), releases
-// them. Committing or posting on a closed session fails with
-// ErrSessionClosed; already-flushed results stay valid. Close is
-// idempotent.
+// Close frees every handle committed on the session. Committing or
+// posting on a closed session fails with ErrSessionClosed;
+// already-flushed results stay valid. The backend is left to whoever
+// configured it: Close does not close it. Close is idempotent.
 func (s *Session) Close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.closed = true
 	for id, h := range s.handles {
 		h.markFreed()
 		delete(s.handles, id)
-	}
-	backend := s.backend
-	s.mu.Unlock()
-	if c, ok := backend.(io.Closer); ok {
-		c.Close()
 	}
 }
 
@@ -285,7 +263,6 @@ type TypeHandle struct {
 	sess     *Session
 	typ      *ddt.Type
 	strategy Strategy
-	epsilon  float64 // per-handle checkpoint tolerance (0 = session default)
 
 	// builds holds the handle's built state for at most
 	// handleBuildBudget counts: a count evicted by newer ones is rebuilt
@@ -334,7 +311,7 @@ func (h *TypeHandle) Strategy() Strategy { return h.strategy }
 // evicts a live handle from a later re-commit.
 func (h *TypeHandle) Free() {
 	s := h.sess
-	id := handleID{typ: h.typ, strategy: h.strategy, epsilon: h.epsilon}
+	id := handleID{typ: h.typ, strategy: h.strategy}
 	s.mu.Lock()
 	if s.handles[id] == h {
 		delete(s.handles, id)
@@ -375,14 +352,10 @@ func (h *TypeHandle) build(count int) (*handleBuild, error) {
 	}
 	b := &cb.rx
 	b.once.Do(func() {
-		eps := h.sess.cfg.Epsilon
-		if h.epsilon > 0 {
-			eps = h.epsilon
-		}
 		b.template, b.err = h.sess.caches.buildOffload(h.strategy, BuildParams{
 			Type: h.typ, Count: count,
 			NIC: h.sess.cfg.NIC, Cost: h.sess.cfg.Cost, Host: h.sess.cfg.Host,
-			Epsilon: eps, PktBufBytes: h.sess.cfg.PktBufBytes,
+			Epsilon: h.sess.cfg.Epsilon, PktBufBytes: h.sess.cfg.PktBufBytes,
 		})
 	})
 	if b.err != nil {
@@ -401,19 +374,6 @@ func (h *TypeHandle) instantiate(b *handleBuild) (*Offload, error) {
 		return b.template, nil
 	}
 	return b.template.Instantiate()
-}
-
-// Instantiate returns an execution-ready Offload for one message of count
-// elements: the offload state is built once per (handle, count) and the
-// per-message mutable parts are minted fresh. It is the hook a library
-// layered on the session API (internal/mpi) uses to place handle-backed
-// contexts on its own portal table.
-func (h *TypeHandle) Instantiate(count int) (*Offload, error) {
-	b, err := h.build(count)
-	if err != nil {
-		return nil, err
-	}
-	return h.instantiate(b)
 }
 
 // EndpointConfig configures one endpoint.
@@ -609,7 +569,7 @@ func (ep *Endpoint) flushLocked() error {
 			Order:  op.opts.Order,
 		}
 	}
-	env := BackendEnv{NIC: ep.sess.cfg.NIC, Host: ep.sess.cfg.Host, Counters: &ep.sess.caches.counters}
+	env := BackendEnv{NIC: ep.sess.cfg.NIC, Host: ep.sess.cfg.Host}
 	env.NIC.Trace = ep.cfg.Trace // session-level traces are rejected at NewSession
 	release := ep.sess.acquireTrace(ep.cfg.Trace)
 	results, err := ep.sess.backend.Flush(env, msgs)
@@ -621,30 +581,6 @@ func (ep *Endpoint) flushLocked() error {
 		ep.pt.Unlink(op.me)
 	}
 	if err != nil {
-		var be *BatchError
-		if errors.As(err, &be) && len(be.Errs) == len(ops) && len(results) == len(ops) {
-			// Partial failure: each message carries its own status — the
-			// failed ones surface their error through their Future, the
-			// rest finish normally instead of being poisoned by a sibling.
-			ep.pt.DrainEvents()
-			var first error
-			for i, op := range ops {
-				op.done = true
-				if opErr := be.Errs[i]; opErr != nil {
-					op.err = opErr
-					if op.dstBuf != nil {
-						putBuf(op.dstBuf) // possibly partially scattered: dirty pool
-					}
-				} else {
-					op.res, op.err = ep.finishOp(op, results[i])
-				}
-				op.releaseOff()
-				if op.err != nil && first == nil {
-					first = op.err
-				}
-			}
-			return first
-		}
 		for _, op := range ops {
 			op.done, op.err = true, err
 			if op.dstBuf != nil {

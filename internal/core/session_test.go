@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -490,5 +491,163 @@ func TestHandleBuildsBounded(t *testing.T) {
 	}
 	if res := post(1); res.Prep == (HostPrep{}) {
 		t.Fatal("evicted count 1 was not rebuilt: its post reports no host prep")
+	}
+}
+
+// TestSessionErrorPaths pins the hardened session API: empty datatypes,
+// freed handles, undersized buffers, and closed sessions all fail with
+// explicit errors, and Session.Close is idempotent and rejects subsequent
+// use.
+func TestSessionErrorPaths(t *testing.T) {
+	typ := ddt.MustVector(64, 32, 96, ddt.Int)
+
+	t.Run("empty datatype", func(t *testing.T) {
+		sess := NewSession(NewSessionConfig())
+		defer sess.Close()
+		for _, empty := range []*ddt.Type{nil, ddt.MustContiguous(0, ddt.Int)} {
+			if _, err := sess.CommitAs(empty, RWCP); err == nil {
+				t.Fatalf("commit of empty datatype %v succeeded", empty)
+			}
+		}
+	})
+
+	t.Run("freed handle", func(t *testing.T) {
+		sess := NewSession(NewSessionConfig())
+		defer sess.Close()
+		h, err := sess.CommitAs(typ, RWCP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Free()
+		if _, err := sess.Endpoint(EndpointConfig{}).Post(h, 1, PostOpts{}); err == nil {
+			t.Fatal("post with freed handle succeeded")
+		}
+		if _, err := sess.Endpoint(EndpointConfig{}).Send(h, 1, SendOpts{}); err == nil {
+			t.Fatal("send with freed handle succeeded")
+		}
+	})
+
+	t.Run("undersized buffers", func(t *testing.T) {
+		sess := NewSession(NewSessionConfig())
+		defer sess.Close()
+		h, err := sess.CommitAs(typ, RWCP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, hi := typ.Footprint(1)
+		if _, err := sess.Endpoint(EndpointConfig{}).Post(h, 1, PostOpts{Dst: make([]byte, hi-1)}); err == nil {
+			t.Fatal("post with undersized destination succeeded")
+		}
+		if _, err := sess.Endpoint(EndpointConfig{}).Send(h, 1, SendOpts{Src: make([]byte, hi-1)}); err == nil {
+			t.Fatal("send with undersized source succeeded")
+		}
+	})
+
+	t.Run("closed session", func(t *testing.T) {
+		sess := NewSession(NewSessionConfig())
+		h, err := sess.CommitAs(typ, RWCP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := sess.Endpoint(EndpointConfig{})
+		sess.Close()
+		sess.Close() // idempotent
+		if _, err := sess.CommitAs(typ, Specialized); !errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("commit on closed session: %v", err)
+		}
+		if _, err := ep.Post(h, 1, PostOpts{}); err == nil {
+			t.Fatal("post on closed session succeeded")
+		}
+		if _, err := ep.Send(h, 1, SendOpts{}); err == nil {
+			t.Fatal("send on closed session succeeded")
+		}
+	})
+}
+
+// errBackendDown is the whole-batch failure downBackend returns.
+var errBackendDown = errors.New("backend down")
+
+// downBackend is MemBackend whose receive and send flushes fail as a
+// whole, with no per-message results, while down is set.
+type downBackend struct {
+	MemBackend
+	down bool
+}
+
+func (b *downBackend) Flush(env BackendEnv, msgs []BackendMessage) ([]nic.Result, error) {
+	if b.down {
+		return nil, errBackendDown
+	}
+	return b.MemBackend.Flush(env, msgs)
+}
+
+func (b *downBackend) FlushSends(env BackendEnv, sends []BackendSend) ([]nic.SendResult, error) {
+	if b.down {
+		return nil, errBackendDown
+	}
+	return b.MemBackend.FlushSends(env, sends)
+}
+
+// TestBackendFailureFailsBatch pins the whole-batch failure path: a
+// backend flush that fails fails every Future and SendFuture of its batch
+// with the backend's error, and the next batch on the same endpoint
+// flushes and verifies.
+func TestBackendFailureFailsBatch(t *testing.T) {
+	backend := &downBackend{down: true}
+	cfg := NewSessionConfig()
+	cfg.Backend = backend
+	sess := NewSession(cfg)
+	defer sess.Close()
+	h, err := sess.CommitAs(ddt.MustVector(64, 32, 96, ddt.Int), RWCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := sess.Endpoint(EndpointConfig{})
+	batch := func() ([]*Future, []*SendFuture) {
+		t.Helper()
+		futs := make([]*Future, 3)
+		sends := make([]*SendFuture, 2)
+		for i := range futs {
+			if futs[i], err = ep.Post(h, 1, PostOpts{Seed: int64(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range sends {
+			if sends[i], err = ep.Send(h, 1, SendOpts{Seed: int64(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return futs, sends
+	}
+
+	futs, sends := batch()
+	if err := ep.Flush(); !errors.Is(err, errBackendDown) {
+		t.Fatalf("flush error %v, want the backend's", err)
+	}
+	for i, fut := range futs {
+		if _, err := fut.Wait(); !errors.Is(err, errBackendDown) {
+			t.Fatalf("future %d: err = %v, want the backend's", i, err)
+		}
+	}
+	for i, fut := range sends {
+		if _, err := fut.Wait(); !errors.Is(err, errBackendDown) {
+			t.Fatalf("send future %d: err = %v, want the backend's", i, err)
+		}
+	}
+
+	backend.down = false
+	futs, sends = batch()
+	if err := ep.Flush(); err != nil {
+		t.Fatalf("flush after recovery: %v", err)
+	}
+	for i, fut := range futs {
+		if res, err := fut.Wait(); err != nil || !res.Verified {
+			t.Fatalf("future %d after recovery: verified=%v err=%v", i, res.Verified, err)
+		}
+	}
+	for i, fut := range sends {
+		if res, err := fut.Wait(); err != nil || !res.Verified {
+			t.Fatalf("send future %d after recovery: verified=%v err=%v", i, res.Verified, err)
+		}
 	}
 }

@@ -9,18 +9,15 @@ import (
 // PlanCounters tallies which lowered execution plans a session's commits
 // and flushes actually selected — the observability half of the plan
 // subsystem. Counters are atomic (flushes run concurrently) and advisory:
-// they never influence selection or timing. A nil receiver is a no-op so
-// backends running outside a session (the one-shot wrappers) need no
-// special-casing.
+// they never influence selection or timing.
 type PlanCounters struct {
 	planContig, planStride, planOffsets    atomic.Int64
 	gatherContig, gatherVector, gatherList atomic.Int64
-	fusedPackCRC, fusedUnpackCRC           atomic.Int64
 }
 
 // notePlan records the pack/unpack plan selected for a committed handle.
 func (c *PlanCounters) notePlan(p *plan.Plan) {
-	if c == nil || p == nil {
+	if p == nil {
 		return
 	}
 	switch p.Kind() {
@@ -35,9 +32,6 @@ func (c *PlanCounters) notePlan(p *plan.Plan) {
 
 // noteGather records the gather resolver selected for a sender build.
 func (c *PlanCounters) noteGather(k plan.GatherKind) {
-	if c == nil {
-		return
-	}
 	switch k {
 	case plan.GatherContig:
 		c.gatherContig.Add(1)
@@ -45,20 +39,6 @@ func (c *PlanCounters) noteGather(k plan.GatherKind) {
 		c.gatherVector.Add(1)
 	default:
 		c.gatherList.Add(1)
-	}
-}
-
-// noteFusedPack records one pack that computed its wire checksum fused.
-func (c *PlanCounters) noteFusedPack() {
-	if c != nil {
-		c.fusedPackCRC.Add(1)
-	}
-}
-
-// noteFusedUnpack records one scatter that verified its checksum fused.
-func (c *PlanCounters) noteFusedUnpack() {
-	if c != nil {
-		c.fusedUnpackCRC.Add(1)
 	}
 }
 
@@ -70,31 +50,22 @@ type SessionStats struct {
 	// GatherContig/GatherVector/GatherList count sender gather builds by
 	// resolver family (once per built (handle, count), not per message).
 	GatherContig, GatherVector, GatherList int64
-	// FusedPackCRC/FusedUnpackCRC count transport-path packs and scatters
-	// that computed their stream checksum fused with the data movement.
-	FusedPackCRC, FusedUnpackCRC int64
 }
 
 func (c *PlanCounters) snapshot() SessionStats {
-	if c == nil {
-		return SessionStats{}
-	}
 	return SessionStats{
-		PlanContig:     c.planContig.Load(),
-		PlanStride:     c.planStride.Load(),
-		PlanOffsets:    c.planOffsets.Load(),
-		GatherContig:   c.gatherContig.Load(),
-		GatherVector:   c.gatherVector.Load(),
-		GatherList:     c.gatherList.Load(),
-		FusedPackCRC:   c.fusedPackCRC.Load(),
-		FusedUnpackCRC: c.fusedUnpackCRC.Load(),
+		PlanContig:   c.planContig.Load(),
+		PlanStride:   c.planStride.Load(),
+		PlanOffsets:  c.planOffsets.Load(),
+		GatherContig: c.gatherContig.Load(),
+		GatherVector: c.gatherVector.Load(),
+		GatherList:   c.gatherList.Load(),
 	}
 }
 
 // Stats returns a snapshot of the session's plan-selection counters: which
-// execution plans its committed types lowered to, which gather resolvers
-// its sends built, and how many transport packs/scatters ran their CRC
-// fused with the copy.
+// execution plans its committed types lowered to and which gather
+// resolvers its sends built.
 func (s *Session) Stats() SessionStats {
 	return s.caches.counters.snapshot()
 }

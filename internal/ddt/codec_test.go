@@ -7,6 +7,10 @@ import (
 )
 
 func TestCodecRoundTripBasics(t *testing.T) {
+	hindexed, err := NewHIndexed([]int{1, 2}, []int64{0, 13}, Int) // unaligned byte displacement
+	if err != nil {
+		t.Fatal(err)
+	}
 	types := []*Type{
 		Int,
 		MustContiguous(8, Double),
@@ -17,6 +21,7 @@ func TestCodecRoundTripBasics(t *testing.T) {
 		MustStruct([]int{2, 1}, []int64{0, 24}, []*Type{Int, Double}),
 		MustSubarray([]int{4, 5, 3}, []int{2, 3, 2}, []int{1, 1, 0}, Long),
 		MustResized(MustVector(4, 1, 2, Int), 0, 64),
+		hindexed,
 	}
 	for i, typ := range types {
 		enc := Encode(typ)

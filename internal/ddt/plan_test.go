@@ -52,15 +52,6 @@ func checkPlanAgainstReference(t *testing.T, typ *Type, count int, align int) {
 			count, align, p.Kind(), typ.Describe())
 	}
 
-	// Fused pack: same bytes plus the whole-stream checksum.
-	packed2 := make([]byte, msgSize)
-	if sum := p.PackSum(count, src, packed2); sum != plan.Checksum(wantPacked) {
-		t.Fatalf("count=%d align=%d: PackSum %08x, Checksum %08x\n%s",
-			count, align, sum, plan.Checksum(wantPacked), typ.Describe())
-	} else if !bytes.Equal(packed2, wantPacked) {
-		t.Fatalf("count=%d align=%d: PackSum bytes differ\n%s", count, align, typ.Describe())
-	}
-
 	wantDst := make([]byte, hi)
 	for _, b := range blocks {
 		copy(wantDst[b.Offset:b.Offset+b.Size], src[b.Offset:b.Offset+b.Size])
@@ -71,14 +62,6 @@ func checkPlanAgainstReference(t *testing.T, typ *Type, count int, align int) {
 	if !bytes.Equal(dst, wantDst) {
 		t.Fatalf("count=%d align=%d: plan %v unpack differs from recursive scatter\n%s",
 			count, align, p.Kind(), typ.Describe())
-	}
-
-	dst2 := make([]byte, hi)
-	if sum := p.UnpackSum(count, packed, dst2); sum != plan.Checksum(wantPacked) {
-		t.Fatalf("count=%d align=%d: UnpackSum %08x, Checksum %08x\n%s",
-			count, align, sum, plan.Checksum(wantPacked), typ.Describe())
-	} else if !bytes.Equal(dst2, wantDst) {
-		t.Fatalf("count=%d align=%d: UnpackSum bytes differ\n%s", count, align, typ.Describe())
 	}
 
 	if !p.Equal(count, src, packed) {

@@ -2,9 +2,8 @@
 // specialized execution plans — the codegen layer of the datatype engine.
 // Lowering happens once, at ddt.Commit / Session.Commit. Every consumer of
 // the layout reads it from here: ddt.ForEachBlock and Flatten replay the
-// plan's region program, ddt.Pack/Unpack/PackInto, MemBackend and
-// UDPBackend dispatch to its kernels, and both sPIN handlers run its
-// resolver.
+// plan's region program, ddt.Pack/Unpack/PackInto and MemBackend
+// dispatch to its kernels, and both sPIN handlers run its resolver.
 //
 // # Plan IR
 //
@@ -45,10 +44,6 @@
 // otherwise. Every kernel produces the byte stream of the reference
 // ddt.Pack/Unpack exactly.
 //
-// The fused kernels (PackSum, UnpackSum) compute the CRC-32C (Castagnoli,
-// the transport frame polynomial) of the packed stream *during* the gather
-// or scatter — per copied chunk, in stream order, which equals the whole-
-// stream checksum — so the transport path never needs a second pass.
 // Equal verifies a wire stream against the source image region by region
 // without materializing a reference pack.
 //

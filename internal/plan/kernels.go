@@ -3,17 +3,7 @@ package plan
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 )
-
-// castagnoli is the CRC-32C table of the fused pack+checksum kernels — the
-// same polynomial the transport frames carry, so an end-to-end stream
-// checksum composes with the per-frame ones.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Checksum returns the CRC-32C of a packed stream (the value the fused
-// kernels compute incrementally).
-func Checksum(stream []byte) uint32 { return crc32.Checksum(stream, castagnoli) }
 
 // copyWide moves len(src) bytes — a multiple of 8 — with unrolled 16-byte
 // word moves. binary.LittleEndian loads/stores compile to single unaligned
@@ -145,104 +135,6 @@ func (p *Plan) unpackOffsets(count int, packed, dst []byte) {
 			}
 		}
 		base += p.extent
-	}
-}
-
-// PackSum is Pack fused with the CRC-32C of the produced stream: the
-// checksum is updated per copied chunk in stream order, which equals the
-// whole-stream checksum, so the transport path needs no second pass.
-func (p *Plan) PackSum(count int, src, dst []byte) uint32 {
-	switch p.kind {
-	case Contig:
-		n := p.size * int64(count)
-		copy(dst[:n], src[p.off:p.off+n])
-		return crc32.Update(0, castagnoli, dst[:n])
-	case Stride:
-		bs, st, n, ext := p.blockSize, p.stride, p.perElem, p.extent
-		pos := int64(0)
-		base := p.off
-		sum := uint32(0)
-		for e := 0; e < count; e++ {
-			off := base
-			for b := int64(0); b < n; b++ {
-				d := dst[pos : pos+bs : pos+bs]
-				if p.wide {
-					copyWide(d, src[off:off+bs:off+bs])
-				} else {
-					copy(d, src[off:off+bs])
-				}
-				sum = crc32.Update(sum, castagnoli, d)
-				off += st
-				pos += bs
-			}
-			base += ext
-		}
-		return sum
-	default:
-		pos := int64(0)
-		base := int64(0)
-		sum := uint32(0)
-		for e := 0; e < count; e++ {
-			for _, tile := range p.tiles {
-				for _, r := range tile {
-					off := base + r.Offset
-					d := dst[pos : pos+r.Size : pos+r.Size]
-					copy(d, src[off:off+r.Size])
-					sum = crc32.Update(sum, castagnoli, d)
-					pos += r.Size
-				}
-			}
-			base += p.extent
-		}
-		return sum
-	}
-}
-
-// UnpackSum is Unpack fused with the CRC-32C of the consumed stream.
-func (p *Plan) UnpackSum(count int, packed, dst []byte) uint32 {
-	switch p.kind {
-	case Contig:
-		n := p.size * int64(count)
-		copy(dst[p.off:p.off+n], packed[:n])
-		return crc32.Update(0, castagnoli, packed[:n])
-	case Stride:
-		bs, st, n, ext := p.blockSize, p.stride, p.perElem, p.extent
-		pos := int64(0)
-		base := p.off
-		sum := uint32(0)
-		for e := 0; e < count; e++ {
-			off := base
-			for b := int64(0); b < n; b++ {
-				s := packed[pos : pos+bs : pos+bs]
-				if p.wide {
-					copyWide(dst[off:off+bs:off+bs], s)
-				} else {
-					copy(dst[off:off+bs], s)
-				}
-				sum = crc32.Update(sum, castagnoli, s)
-				off += st
-				pos += bs
-			}
-			base += ext
-		}
-		return sum
-	default:
-		pos := int64(0)
-		base := int64(0)
-		sum := uint32(0)
-		for e := 0; e < count; e++ {
-			for _, tile := range p.tiles {
-				for _, r := range tile {
-					off := base + r.Offset
-					s := packed[pos : pos+r.Size : pos+r.Size]
-					copy(dst[off:off+r.Size], s)
-					sum = crc32.Update(sum, castagnoli, s)
-					pos += r.Size
-				}
-			}
-			base += p.extent
-		}
-		return sum
 	}
 }
 

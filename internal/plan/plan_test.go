@@ -71,16 +71,11 @@ func checkKernels(t *testing.T, pr Program, count int) {
 		src[i] = byte(i*151 + 29)
 	}
 	want := refPack(pr, count, src)
-	sum := Checksum(want)
 
 	dst := make([]byte, pr.Size*int64(count))
 	p.Pack(count, src, dst)
 	if !bytes.Equal(dst, want) {
 		t.Fatalf("%v pack differs: got %v want %v (program %+v)", p.Kind(), dst, want, pr)
-	}
-	dst2 := make([]byte, len(dst))
-	if got := p.PackSum(count, src, dst2); got != sum || !bytes.Equal(dst2, want) {
-		t.Fatalf("%v PackSum = %08x (bytes ok=%v), want %08x", p.Kind(), got, bytes.Equal(dst2, want), sum)
 	}
 
 	wantScatter := refScatter(pr, count, want, hi)
@@ -88,10 +83,6 @@ func checkKernels(t *testing.T, pr Program, count int) {
 	p.Unpack(count, want, out)
 	if !bytes.Equal(out, wantScatter) {
 		t.Fatalf("%v unpack differs (program %+v)", p.Kind(), pr)
-	}
-	out2 := make([]byte, hi)
-	if got := p.UnpackSum(count, want, out2); got != sum || !bytes.Equal(out2, wantScatter) {
-		t.Fatalf("%v UnpackSum = %08x, want %08x", p.Kind(), got, sum)
 	}
 
 	if !p.Equal(count, src, want) {

@@ -1,9 +1,10 @@
 // Package portals implements the Portals 4 network programming interface
 // subset the paper builds on: matching and non-matching list entries on
-// priority and overflow lists, match-bits semantics, event queues, put
-// operations — plus the paper's two extensions: streaming puts
+// priority and overflow lists, match-bits semantics and event queues. The
+// paper's two sender-side extensions, streaming puts
 // (PtlSPutStart/PtlSPutStream, Sec. 3.1.1) and process puts
-// (PtlProcessPut, Sec. 3.1.2) for outbound sPIN.
+// (PtlProcessPut, Sec. 3.1.2) for outbound sPIN, are modelled by the
+// NIC's send paths (nic.SendStreaming, nic.SendProcessPut).
 //
 // This package is the semantic layer: who matches what, which list entry
 // receives a message, what events fire. Timing lives in internal/nic.

@@ -1,10 +1,6 @@
 package portals
 
-import (
-	"testing"
-
-	"spinddt/internal/spin"
-)
+import "testing"
 
 func TestMatchBitsSemantics(t *testing.T) {
 	me := &ME{Match: 0xAB, Ignore: 0x0F}
@@ -86,21 +82,23 @@ func TestMatchOrderIsAppendOrder(t *testing.T) {
 }
 
 func TestUseOnceUnlinks(t *testing.T) {
-	ni := NewNI(1)
-	pt, _ := ni.PT(0)
-	me := &ME{Match: 3, UseOnce: true}
-	if err := pt.Append(PriorityList, me); err != nil {
-		t.Fatal(err)
-	}
-	got, _, ok := pt.Match(3)
-	if !ok || got != me {
-		t.Fatal("first match failed")
-	}
-	if me.Linked() {
-		t.Fatal("use-once entry still linked after match")
-	}
-	if _, _, ok := pt.Match(3); ok {
-		t.Fatal("use-once entry matched twice")
+	for _, list := range []List{PriorityList, OverflowList} {
+		ni := NewNI(1)
+		pt, _ := ni.PT(0)
+		me := &ME{Match: 3, UseOnce: true}
+		if err := pt.Append(list, me); err != nil {
+			t.Fatal(err)
+		}
+		got, from, ok := pt.Match(3)
+		if !ok || got != me || from != list {
+			t.Fatalf("%v: first match failed", list)
+		}
+		if me.Linked() {
+			t.Fatalf("%v: use-once entry still linked after match", list)
+		}
+		if _, _, ok := pt.Match(3); ok {
+			t.Fatalf("%v: use-once entry matched twice", list)
+		}
 	}
 }
 
@@ -122,25 +120,27 @@ func TestPersistentEntryMatchesRepeatedly(t *testing.T) {
 }
 
 func TestUnlinkRemoves(t *testing.T) {
-	ni := NewNI(1)
-	pt, _ := ni.PT(0)
-	a := &ME{Match: 1}
-	b := &ME{Match: 1}
-	if err := pt.Append(PriorityList, a); err != nil {
-		t.Fatal(err)
+	for _, list := range []List{PriorityList, OverflowList} {
+		ni := NewNI(1)
+		pt, _ := ni.PT(0)
+		a := &ME{Match: 1}
+		b := &ME{Match: 1}
+		if err := pt.Append(list, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := pt.Append(list, b); err != nil {
+			t.Fatal(err)
+		}
+		pt.Unlink(a)
+		if a.Linked() {
+			t.Fatalf("%v: a still linked", list)
+		}
+		got, _, _ := pt.Match(1)
+		if got != b {
+			t.Fatalf("%v: unlinked entry still matches", list)
+		}
+		pt.Unlink(a) // no-op
 	}
-	if err := pt.Append(PriorityList, b); err != nil {
-		t.Fatal(err)
-	}
-	pt.Unlink(a)
-	if a.Linked() {
-		t.Fatal("a still linked")
-	}
-	got, _, _ := pt.Match(1)
-	if got != b {
-		t.Fatal("unlinked entry still matches")
-	}
-	pt.Unlink(a) // no-op
 }
 
 func TestDoubleAppendRejected(t *testing.T) {
@@ -188,53 +188,5 @@ func TestPTRange(t *testing.T) {
 	}
 	if _, err := ni.PT(-1); err == nil {
 		t.Fatal("negative PT accepted")
-	}
-}
-
-func TestPlainPut(t *testing.T) {
-	op := NewPut(1, 42, Region{Offset: 100, Size: 4096})
-	if op.TotalBytes != 4096 || len(op.Regions) != 1 || op.Gather != nil {
-		t.Fatalf("op = %+v", op)
-	}
-}
-
-func TestStreamingPut(t *testing.T) {
-	sp := StartStreamingPut(0, 7, Region{0, 100})
-	if sp.Closed() {
-		t.Fatal("fresh streaming put closed")
-	}
-	if _, err := sp.Op(); err == nil {
-		t.Fatal("open streaming put produced an op")
-	}
-	if err := sp.Stream(Region{200, 50}, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Stream(Region{400, 25}, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Stream(Region{600, 10}, false); err != ErrStreamClosed {
-		t.Fatalf("stream after close: %v", err)
-	}
-	op, err := sp.Op()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op.TotalBytes != 175 || len(op.Regions) != 3 {
-		t.Fatalf("op = %+v", op)
-	}
-}
-
-func TestStreamingPutRejectsNegativeRegion(t *testing.T) {
-	sp := StartStreamingPut(0, 7, Region{0, 100})
-	if err := sp.Stream(Region{0, -1}, false); err == nil {
-		t.Fatal("negative region accepted")
-	}
-}
-
-func TestProcessPut(t *testing.T) {
-	ctx := &spin.ExecutionContext{Name: "gather"}
-	op := NewProcessPut(2, 9, 1<<20, ctx)
-	if op.Gather != ctx || op.TotalBytes != 1<<20 || len(op.Regions) != 0 {
-		t.Fatalf("op = %+v", op)
 	}
 }

@@ -64,11 +64,11 @@
 //	8       4     element count (post/send)
 //	12      8     payload seed (post/send; 0 = default)
 //
-// Payload by kind: commit carries the ddt-encoded datatype (the same
-// codec transport.WireMeta uses); post may carry the caller's packed
-// wire stream (exactly Type.Size()*count bytes — the server then
-// scatters and verifies those bytes instead of synthesizing a payload);
-// every other kind carries none.
+// Payload by kind: commit carries the ddt-encoded datatype (ddt.Encode);
+// post may carry the caller's packed wire stream (exactly
+// Type.Size()*count bytes — the server then scatters and verifies those
+// bytes instead of synthesizing a payload); every other kind carries
+// none.
 //
 // # Response wire protocol
 //

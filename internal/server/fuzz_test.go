@@ -13,14 +13,15 @@ import (
 )
 
 // corpusRequests returns the seed shapes the request-decoder fuzzing
-// starts from: one well-formed request of every kind plus the classic
-// malformed edges.
+// starts from: one well-formed request of every kind, with flat and
+// nested datatypes on commit, plus the classic malformed edges.
 func corpusRequests() []*server.Request {
 	typ := ddt.MustVector(16, 4, 8, ddt.Int)
 	return []*server.Request{
 		{Kind: server.ReqOpen},
 		{Kind: server.ReqCommit, Strategy: uint8(core.RWCP), Type: typ},
 		{Kind: server.ReqCommit, Strategy: server.StrategyAuto, Type: ddt.MustContiguous(128, ddt.Double)},
+		{Kind: server.ReqCommit, Strategy: uint8(core.Specialized), Type: ddt.MustVector(3, 1, 2, ddt.MustVector(4, 2, 3, ddt.Char))},
 		{Kind: server.ReqPost, Handle: 3, Count: 2, Seed: 42},
 		{Kind: server.ReqPost, Handle: 3, Count: 2, Packed: bytes.Repeat([]byte{0xA5}, 128)},
 		{Kind: server.ReqSend, Handle: 1, Count: 7, Seed: -1},

@@ -28,9 +28,6 @@ func (s *Server) Acquire(t, d Time) (start, end Time) {
 	return start, end
 }
 
-// BusyUntil returns the time at which the server becomes idle.
-func (s *Server) BusyUntil() Time { return s.busyUntil }
-
 // BusyTotal returns the cumulative busy time booked on the server.
 func (s *Server) BusyTotal() Time { return s.busyTotal }
 

@@ -1,9 +1,10 @@
-// Package transport is the reliable UDP wire underneath core.UDPBackend:
-// it moves committed-datatype exchanges between OS processes over an
-// unreliable packet network and survives loss, reordering, duplication and
-// corruption. Everything above it (the session API, the backends) deals in
-// whole messages; everything below it is any net.PacketConn — a kernel UDP
-// socket, the in-memory Pipe, or either wrapped in a FaultConn.
+// Package transport is the reliable UDP wire underneath the spinsimd
+// session daemon (internal/server) and its client
+// (internal/server/client): it moves their requests and responses
+// between OS processes over an unreliable packet network and survives
+// loss, reordering, duplication and corruption. Everything above it deals
+// in whole messages; everything below it is any net.PacketConn — a kernel
+// UDP socket, the in-memory Pipe, or either wrapped in a FaultConn.
 //
 // # Frame layout
 //
@@ -27,15 +28,14 @@
 // frames of at most Config.MaxPayload bytes, sequence-numbered from 0;
 // the aux field of every data frame repeats the total frame count so any
 // single frame opens the message on the receiver. The header block is the
-// exchange format of the session layer (EncodeWireMeta: the ddt-encoded
-// datatype, element count and destination offset — the committed block
-// program's wire form), the payload is the packed byte stream the
-// receiver scatters through it. MaxPayload defaults to MaxPayloadSize, so
-// every frame but the last fills a 1472-byte datagram. Both sides of a
-// connection must agree on MaxPayload: the receiver places frame seq at
-// offset seq*MaxPayload, so it drops any non-final data frame that does
-// not carry exactly MaxPayload bytes, and a mismatched multi-frame send
-// times out instead of delivering a mis-assembled message.
+// server's request or response header (internal/server's proto.go), the
+// payload is the packed byte stream a post carries. MaxPayload defaults
+// to MaxPayloadSize, so every frame but the last fills a 1472-byte
+// datagram. Both sides of a connection must agree on MaxPayload: the
+// receiver places frame seq at offset seq*MaxPayload, so it drops any
+// non-final data frame that does not carry exactly MaxPayload bytes, and
+// a mismatched multi-frame send times out instead of delivering a
+// mis-assembled message.
 //
 // A frame whose checksum does not match its contents is dropped on
 // receipt — corruption degrades to loss, and the ARQ below recovers it.
@@ -127,7 +127,7 @@
 // RTO doubles (up to RTOMax); any progress resets both the timer and the
 // retry budget. After Config.MaxRetries consecutive no-progress timeouts
 // the send fails with ErrTimeout — the bounded retry budget that surfaces
-// as a typed error from the session layer's Flush/FlushSends.
+// as a typed error from the server client's calls.
 //
 // # Batching
 //

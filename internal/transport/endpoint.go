@@ -95,7 +95,7 @@ type Message struct {
 	// From is the sender's observed address (reply-to for servers). It
 	// is read-only: messages from one peer may share it.
 	From net.Addr
-	// Hdr is the exchange-format header block (see EncodeWireMeta).
+	// Hdr is the message's header block (a server request or response header).
 	Hdr []byte
 	// Payload is the message body — the packed byte stream.
 	Payload []byte
@@ -133,7 +133,6 @@ type Endpoint struct {
 	deliver chan Message
 	closed  chan struct{}
 	once    sync.Once
-	nextID  atomic.Uint32
 
 	stats struct {
 		dataSent, retransmits, acksSent, acksReceived atomic.Int64
@@ -221,10 +220,6 @@ func (e *Endpoint) Stats() Stats {
 		ReadCalls:     e.stats.readCalls.Load(),
 	}
 }
-
-// NextMessageID returns a fresh outbound message id (sequential per
-// endpoint).
-func (e *Endpoint) NextMessageID() uint32 { return e.nextID.Add(1) - 1 }
 
 // txState is the sender side of one in-flight message.
 type txState struct {

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"spinddt/internal/ddt"
 )
 
 // TestWriteFuzzCorpus regenerates the committed seed corpus under
@@ -44,18 +42,6 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		AppendFrame(nil, &Frame{Type: FrameData, AckReq: true, Session: 1, Message: 2, Seq: 7, Aux: 46, Payload: []byte("ack me")}),
 		AppendFrame(nil, &Frame{Type: FrameAck, AckReq: true, Session: 1, Message: 2, Seq: 8}), // non-canonical
 	})
-
-	nested := ddt.MustVector(3, 1, 2, ddt.MustVector(4, 2, 3, ddt.Char))
-	truncated := EncodeWireMeta(WireMeta{Type: ddt.MustVector(16, 4, 8, ddt.Int), Count: 2})
-	write("FuzzBlockProgramDecode", [][]byte{
-		EncodeWireMeta(WireMeta{Offset: 0}),
-		EncodeWireMeta(WireMeta{Offset: 1 << 20}),
-		EncodeWireMeta(WireMeta{Type: ddt.MustVector(16, 4, 8, ddt.Int), Count: 2}),
-		EncodeWireMeta(WireMeta{Type: ddt.MustContiguous(128, ddt.Double), Count: 1}),
-		EncodeWireMeta(WireMeta{Type: nested, Count: 5}),
-		truncated[:len(truncated)/2],
-		{0x7f, 0, 0},
-	})
 }
 
 // FuzzFrameDecode hammers the datagram decoder with arbitrary bytes. The
@@ -81,44 +67,6 @@ func FuzzFrameDecode(f *testing.F) {
 		re := AppendFrame(nil, &fr)
 		if !bytes.Equal(re, pkt) {
 			t.Fatalf("accepted frame does not round-trip: %x vs %x", re, pkt)
-		}
-	})
-}
-
-// FuzzBlockProgramDecode fuzzes the exchange-format header decoder — the
-// path that turns received wire bytes into a committed block program. A
-// decoded header must survive the ddt constructors (DecodeWireMeta
-// rebuilds the type through them) and re-encode to an equivalent header.
-func FuzzBlockProgramDecode(f *testing.F) {
-	f.Add(EncodeWireMeta(WireMeta{Offset: 4096}))
-	f.Add(EncodeWireMeta(WireMeta{Type: ddt.MustVector(8, 2, 4, ddt.Double), Count: 3}))
-	f.Add(EncodeWireMeta(WireMeta{Type: ddt.MustContiguous(64, ddt.Char), Count: 1}))
-	f.Add(EncodeWireMeta(WireMeta{
-		Type:  ddt.MustVector(4, 1, 3, ddt.MustContiguous(2, ddt.Int)),
-		Count: 2,
-	}))
-	f.Add([]byte{metaKindBlockProgram})
-	f.Add([]byte{metaKindContiguous, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		m, err := DecodeWireMeta(buf)
-		if err != nil {
-			return
-		}
-		if m.Type == nil {
-			if m.Offset < 0 {
-				t.Fatalf("accepted negative offset %d", m.Offset)
-			}
-			return
-		}
-		if m.Count <= 0 {
-			t.Fatalf("accepted non-positive count %d", m.Count)
-		}
-		m2, err := DecodeWireMeta(EncodeWireMeta(m))
-		if err != nil {
-			t.Fatalf("re-encoded meta rejected: %v", err)
-		}
-		if m2.Count != m.Count || !ddt.TypemapEqual(m2.Type, m.Type) {
-			t.Fatal("meta does not round-trip")
 		}
 	})
 }

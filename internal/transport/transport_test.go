@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"spinddt/internal/ddt"
 )
 
 // testConfig keeps retransmission timers fast so lossy tests converge
@@ -106,30 +104,6 @@ func TestPeekFrame(t *testing.T) {
 	}
 }
 
-func TestWireMetaRoundTrip(t *testing.T) {
-	typ := ddt.MustVector(16, 4, 8, ddt.Int)
-	m, err := DecodeWireMeta(EncodeWireMeta(WireMeta{Type: typ, Count: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Type == nil || m.Count != 3 || !ddt.TypemapEqual(m.Type, typ) {
-		t.Fatalf("block-program meta mismatch: %+v", m)
-	}
-	c, err := DecodeWireMeta(EncodeWireMeta(WireMeta{Offset: 4096}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Type != nil || c.Offset != 4096 {
-		t.Fatalf("contiguous meta mismatch: %+v", c)
-	}
-	if _, err := DecodeWireMeta(nil); err == nil {
-		t.Fatal("empty meta accepted")
-	}
-	if _, err := DecodeWireMeta([]byte{metaKindBlockProgram, 1, 0, 0, 0, 0, 0, 0, 0, 0xff}); err == nil {
-		t.Fatal("truncated type encoding accepted")
-	}
-}
-
 // TestSendRecvSizes moves messages across the size spectrum — sub-frame,
 // exact frame multiples, multi-window — and requires byte-identical
 // delivery of header and payload.
@@ -137,13 +111,13 @@ func TestSendRecvSizes(t *testing.T) {
 	sender, receiver := pair(t, testConfig(), nil)
 	chunk := sender.cfg.MaxPayload
 	sizes := []int{0, 1, chunk - 5, chunk - 4, chunk, chunk + 1, 3 * chunk, 40*chunk + 17}
-	for _, size := range sizes {
+	for i, size := range sizes {
 		hdr := []byte(fmt.Sprintf("hdr-%d", size))
 		body := make([]byte, size)
 		for i := range body {
 			body[i] = byte(i * 31)
 		}
-		id := sender.NextMessageID()
+		id := uint32(i)
 		if err := sender.Send(id, hdr, body); err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
@@ -280,10 +254,10 @@ func quietConfig(window int) Config {
 	return Config{Window: window, RTOMin: 250 * time.Millisecond, RTOMax: time.Second}
 }
 
-// sendOne sends body over the pair and requires byte-identical delivery.
-func sendOne(t *testing.T, sender, receiver *Endpoint, body []byte) {
+// sendOne sends body over the pair as message id and requires
+// byte-identical delivery.
+func sendOne(t *testing.T, sender, receiver *Endpoint, id uint32, body []byte) {
 	t.Helper()
-	id := sender.NextMessageID()
 	if err := sender.Send(id, nil, body); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +282,7 @@ func TestAckPolicyClean(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i * 13)
 	}
-	sendOne(t, sender, receiver, body)
+	sendOne(t, sender, receiver, 0, body)
 	s, r := sender.Stats(), receiver.Stats()
 	if s.DataSent != 46 || s.Retransmits != 0 || s.AcksReceived != 6 || r.AcksSent != 6 {
 		t.Fatalf("sender %+v, receiver %+v: want 46 frames, 0 retransmits, 6 acks", s, r)
@@ -327,7 +301,7 @@ func TestAckPolicyWindows(t *testing.T) {
 			for i := range body {
 				body[i] = byte(i * 7)
 			}
-			sendOne(t, sender, receiver, body)
+			sendOne(t, sender, receiver, 0, body)
 			if s := sender.Stats(); s.Retransmits != 0 {
 				t.Fatalf("window %d: %d retransmits in a clean run: %+v", w, s.Retransmits, s)
 			}
@@ -361,7 +335,7 @@ func TestAckRequestLost(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i * 29)
 	}
-	sendOne(t, sender, receiver, body)
+	sendOne(t, sender, receiver, 0, body)
 	if fs := fc.Stats(); fs.Dropped != 1 {
 		t.Fatalf("fault stats %+v: want exactly one dropped frame", fs)
 	}
@@ -397,8 +371,8 @@ func TestMaxPayloadMismatch(t *testing.T) {
 	}
 }
 
-// TestEndpointClose pins shutdown semantics: Recv on a closed endpoint
-// fails with ErrClosed, Close is idempotent.
+// TestEndpointClose pins shutdown semantics: Recv and Send on a closed
+// endpoint fail with ErrClosed, Close is idempotent.
 func TestEndpointClose(t *testing.T) {
 	sender, receiver := pair(t, testConfig(), nil)
 	if err := sender.Send(0, nil, []byte("x")); err != nil {
@@ -413,6 +387,48 @@ func TestEndpointClose(t *testing.T) {
 	receiver.Close()
 	if _, err := receiver.Recv(time.Second); !errors.Is(err, ErrClosed) {
 		t.Fatalf("recv after close: %v", err)
+	}
+
+	// A Send on a closed endpoint fails at its first write on the closed
+	// conn, instead of waiting out the retry budget.
+	sender.Close()
+	done := make(chan error, 1)
+	go func() { done <- sender.Send(1, nil, []byte("y")) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("send after close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("send after close hangs")
+	}
+}
+
+// TestRetransmitOnClosedConn closes the conn under a Send that waits for
+// acks nobody sends: the retransmission's write fails through the
+// FaultConn, and Send returns ErrClosed instead of spending its retry
+// budget.
+func TestRetransmitOnClosedConn(t *testing.T) {
+	a, b := Pipe()
+	defer b.Close()
+	sender := NewEndpoint(NewFaultConn(a, FaultConfig{}), b.LocalAddr(), 1, testConfig())
+	defer sender.Close()
+	done := make(chan error, 1)
+	go func() { done <- sender.Send(0, nil, []byte("never acked")) }()
+	// The one data frame has been written once it is readable at b; no
+	// endpoint reads b, so no ack comes back, and every later write is a
+	// retransmission.
+	if _, _, err := b.ReadFrom(make([]byte, MaxFrameSize)); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("send over a closed conn: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("send over a closed conn hangs")
 	}
 }
 
@@ -468,7 +484,7 @@ func TestForgedFrames(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i * 11)
 	}
-	sendOne(t, sender, receiver, body)
+	sendOne(t, sender, receiver, 0, body)
 }
 
 // TestUDPSocketPair runs exchanges over real kernel UDP loopback sockets
@@ -498,12 +514,12 @@ func TestUDPSocketPair(t *testing.T) {
 		// The stream is the body plus its 4-byte header length.
 		frames := func(n int) int { return n*MaxPayloadSize - 4 }
 		w := sender.cfg.Window
-		for _, size := range []int{1, frames(1), frames(w - 1), frames(w), frames(w + 1), 64 << 10, 1 << 20} {
+		for id, size := range []int{1, frames(1), frames(w - 1), frames(w), frames(w + 1), 64 << 10, 1 << 20} {
 			body := make([]byte, size)
 			for i := range body {
 				body[i] = byte(i*7 + size)
 			}
-			sendOne(t, sender, receiver, body)
+			sendOne(t, sender, receiver, uint32(id), body)
 		}
 	})
 
@@ -512,7 +528,7 @@ func TestUDPSocketPair(t *testing.T) {
 			t.Skip("UDP GSO and GRO are Linux socket options")
 		}
 		sender, receiver := udpPair(t, quietConfig(0))
-		sendOne(t, sender, receiver, make([]byte, 64<<10))
+		sendOne(t, sender, receiver, 0, make([]byte, 64<<10))
 		// Per datagram this is 46 writes, 46 reads and 6 acks: one burst
 		// per window fill, one read per burst, one ack per read.
 		s, r := sender.Stats(), receiver.Stats()

@@ -94,16 +94,14 @@ type (
 	SendFuture = core.SendFuture
 )
 
-// CommitOpts tunes one committed handle (Session.CommitWith).
-type CommitOpts = core.CommitOpts
-
 // Backend executes the data movement of posted messages. The exchange
 // format is the committed datatype's plan (its region program): SimBackend
 // (the default) replays it through the simulated sPIN NIC's offload
-// state, MemBackend executes it directly on host memory — the first
-// non-simulated backend and the differential-testing oracle. Custom
-// backends implement the same interface against BackendEnv and
-// BackendMessage.
+// state, MemBackend executes it directly on host memory — the
+// differential-testing oracle. Custom backends implement the same
+// interface against BackendEnv and BackendMessage. Over a real wire, the
+// spinsimd daemon (cmd/spinsimd) commits each datatype once and scatters
+// the packed streams that arrive against the committed handle.
 type (
 	Backend        = core.Backend
 	BackendEnv     = core.BackendEnv
@@ -112,32 +110,5 @@ type (
 	MemBackend     = core.MemBackend
 )
 
-// UDPBackend executes posted messages over a real wire: gather on the
-// sender, reliable UDP transport (sliding-window ARQ, selective acks,
-// RTO backoff — internal/transport), scatter on the receiver through the
-// datatype decoded off the wire. NewUDPBackend opens the socket
-// pair; UDPConfig selects the network ("udp" or the in-memory "pipe"),
-// tunes the transport, and optionally injects seeded faults. Close the
-// backend (or the owning Session) to release the sockets.
-type (
-	UDPBackend = core.UDPBackend
-	UDPConfig  = core.UDPConfig
-)
-
-// NewUDPBackend opens a UDPBackend's socket pair and starts its
-// transport endpoints.
-func NewUDPBackend(cfg UDPConfig) (*UDPBackend, error) { return core.NewUDPBackend(cfg) }
-
-// BatchError carries per-message errors out of a partially failed flush:
-// Errs[i] is message i's error, nil for messages that completed. Each
-// affected Future/SendFuture also carries its own error, so one
-// timed-out message never poisons its batch siblings.
-type BatchError = core.BatchError
-
-// ErrTimeout reports a message whose transport retry budget was
-// exhausted; test with errors.Is. ErrSessionClosed reports a commit or
-// post on a Session after Close.
-var (
-	ErrTimeout       = core.ErrTimeout
-	ErrSessionClosed = core.ErrSessionClosed
-)
+// ErrSessionClosed reports a commit or post on a Session after Close.
+var ErrSessionClosed = core.ErrSessionClosed

@@ -138,36 +138,3 @@ func TestDefaultsExposed(t *testing.T) {
 		t.Fatal("strategy lists")
 	}
 }
-
-// TestPublicUDPBackend drives the wire backend through the public API:
-// a session whose posted receives travel the reliable UDP transport with
-// injected loss must still verify, and a closed session rejects reuse.
-func TestPublicUDPBackend(t *testing.T) {
-	backend, err := spinddt.NewUDPBackend(spinddt.UDPConfig{Network: "pipe"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := spinddt.NewSessionConfig()
-	cfg.Backend = backend
-	sess := spinddt.NewSession(cfg)
-	col, err := spinddt.Vector(64, 32, 64, spinddt.Int)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sess.Commit(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := sess.Endpoint(spinddt.EndpointConfig{})
-	fut, err := ep.Post(h, 2, spinddt.PostOpts{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := fut.Wait(); err != nil || !res.Verified {
-		t.Fatalf("wire post: verified=%v err=%v", res.Verified, err)
-	}
-	sess.Close()
-	if _, err := ep.Post(h, 2, spinddt.PostOpts{}); err == nil {
-		t.Fatal("post on closed session succeeded")
-	}
-}
