@@ -134,12 +134,15 @@ soak:
 
 # fuzz-smoke gives each wire decoder a FUZZTIME fuzzing budget (one
 # -fuzz run per target; go test allows a single target per invocation).
+# Minimizing each new interesting input is capped at 2s: Go's default of
+# 60s outlasts the budget, so a fuzzer that finds inputs early (an empty
+# fuzz cache) would spend the rest of it minimizing instead of executing.
 # Seed corpora are committed under each package's testdata/fuzz/ and
 # refreshed with SPINDDT_WRITE_CORPUS=1.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecode$$' -fuzztime $(FUZZTIME) ./internal/server/
-	$(GO) test -run '^$$' -fuzz '^FuzzResponseDecode$$' -fuzztime $(FUZZTIME) ./internal/server/
-	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzResponseDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/transport/
 
 # bench records the core perf trajectory to BENCH_<date>.json (multiple
 # iterations, stable numbers).

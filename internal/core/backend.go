@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"spinddt/internal/ddt"
-	"spinddt/internal/fabric"
 	"spinddt/internal/hostcpu"
 	"spinddt/internal/nic"
 	"spinddt/internal/portals"
@@ -18,13 +17,13 @@ type BackendEnv struct {
 	Host hostcpu.Config
 }
 
-// BackendMessage is one posted message in the backend exchange format. The
-// contract is the committed datatype's plan: Type/Count define the scatter
-// layout (ddt lowers its region program at commit; ForEachBlock and Unpack
-// replay it), Packed is the wire stream and Dst the destination buffer.
-// Simulated backends additionally receive the portal-table entry whose
-// execution context holds the offload state built at commit time; host
-// backends execute the plan directly.
+// BackendMessage is one posted receive in the backend exchange format.
+// The contract is the committed datatype's plan: Type/Count define the
+// scatter layout (ddt lowers its region program at commit; ForEachBlock
+// and Unpack replay it), Packed is the wire stream and Dst the destination
+// buffer. Simulated backends additionally receive the portal-table entry
+// whose execution context holds the offload state built at commit time;
+// host backends execute the plan directly.
 type BackendMessage struct {
 	Type  *ddt.Type
 	Count int
@@ -40,11 +39,10 @@ type BackendMessage struct {
 	Dst    []byte
 
 	// Start is when the message's first bit leaves its sender; Order
-	// optionally permutes packet delivery; Arrivals, when non-nil, is an
-	// explicit schedule overriding both (coupled transfers).
-	Start    sim.Time
-	Order    []int
-	Arrivals []fabric.Arrival
+	// optionally permutes packet delivery. A receive paced by a send
+	// ignores both: its arrivals follow the send's injections.
+	Start sim.Time
+	Order []int
 }
 
 // BackendSend is one posted send in the backend exchange format: the
@@ -52,20 +50,13 @@ type BackendMessage struct {
 // source image, and the fully-prepared device message.
 // Msg.Packed is the outgoing wire stream; for non-gathered kinds
 // (TxPacked, TxStreaming) the backend performs the functional pack itself
-// before the timing pass, for TxProcessPut the gather handlers fill it.
+// before the timing pass, for TxProcessPut the gather handlers fill it. A
+// send with neither Msg.Src nor Msg.Packed runs timing-only.
 type BackendSend struct {
 	Type  *ddt.Type
 	Count int
 	Src   []byte
 	Msg   nic.TxMessage
-}
-
-// BackendTransfer couples one send with the receive it paces: the send's
-// packet injections cross the fabric and become the receive's arrival
-// schedule. Recv.Packed must alias the wire stream the send produces.
-type BackendTransfer struct {
-	Send BackendSend
-	Recv BackendMessage
 }
 
 // Backend executes the data movement of posted messages. SimBackend — the
@@ -78,52 +69,78 @@ type BackendTransfer struct {
 type Backend interface {
 	// Name labels the backend ("sim", "mem").
 	Name() string
-	// Flush executes msgs — all posted to one endpoint — in a single
-	// residency pass and returns per-message device-level results in
-	// input order.
-	Flush(env BackendEnv, msgs []BackendMessage) ([]nic.Result, error)
-	// FlushSends executes sends — all posted to one endpoint — against
-	// one shared outbound device and returns per-message results in input
-	// order.
-	FlushSends(env BackendEnv, sends []BackendSend) ([]nic.SendResult, error)
-	// Transfer executes coupled end-to-end transfers: senders share one
-	// outbound device, receivers one inbound device, and each receive's
-	// arrival schedule is paced by its send through the fabric.
-	Transfer(env BackendEnv, xfers []BackendTransfer) ([]nic.SendResult, []nic.Result, error)
+	// Exchange executes one batch posted to one endpoint and returns
+	// per-message results in input order. Sends alone share one outbound
+	// device; receives alone share one inbound residency pass. When both
+	// are given they pair up: send i paces receive i through the fabric,
+	// and recvs[i].Packed must alias the wire stream sends[i] produces.
+	// Non-empty batches of unequal length are an error.
+	Exchange(env BackendEnv, sends []BackendSend, recvs []BackendMessage) ([]nic.SendResult, []nic.Result, error)
 	// Iovec executes the Portals-4 scatter-list baseline for one message.
 	Iovec(env BackendEnv, regions []nic.IovecRegion, packed, dst []byte) (nic.Result, error)
 }
 
+// paired reports whether an Exchange batch pairs its sends with its
+// receives, and rejects a pairing of unequal length.
+func paired(sends []BackendSend, recvs []BackendMessage) (bool, error) {
+	if len(sends) == 0 || len(recvs) == 0 {
+		return false, nil
+	}
+	if len(sends) != len(recvs) {
+		return false, fmt.Errorf("core: exchange pairs %d sends with %d receives", len(sends), len(recvs))
+	}
+	return true, nil
+}
+
 // SimBackend executes messages on the simulated sPIN NIC: the paper's
 // timing models (fabric, inbound parser, HPUs, DMA, PCIe), with all
-// messages of one flush sharing a single device residency pass. Each call
-// is a one-endpoint topology run by nic.RunExchange.
+// messages of one batch sharing a single device residency pass. Each
+// batch is a one-endpoint topology run by nic.RunExchange.
 type SimBackend struct{}
 
 // Name implements Backend.
 func (SimBackend) Name() string { return "sim" }
 
-// Flush implements Backend on the NIC simulator: a receive batch, every
-// message contending for one inbound device.
-func (SimBackend) Flush(env BackendEnv, msgs []BackendMessage) ([]nic.Result, error) {
-	batch := make([]nic.BatchMessage, len(msgs))
-	for i := range msgs {
-		m := &msgs[i]
-		batch[i] = nic.BatchMessage{
-			PT:       m.PT,
-			Bits:     m.Bits,
-			Packed:   m.Packed,
-			Host:     m.Dst,
-			Start:    m.Start,
-			Order:    m.Order,
-			Arrivals: m.Arrivals,
+// Exchange implements Backend on the NIC simulator with one RunExchange
+// call: receives contend for the endpoint's inbound device, sends for its
+// outbound device (HPUs, host read path, injection link, NIC memory). An
+// unpaired send leaves into the unmodeled fabric; a paired one paces the
+// endpoint's own receive, tx and rx devices in one simulation.
+func (SimBackend) Exchange(env BackendEnv, sends []BackendSend, recvs []BackendMessage) ([]nic.SendResult, []nic.Result, error) {
+	pair, err := paired(sends, recvs)
+	if err != nil {
+		return nil, nil, err
+	}
+	ep := nic.ExchangeEndpoint{
+		Cfg:   env.NIC,
+		Sends: make([]nic.ExchangeSend, len(sends)),
+		Recvs: make([]nic.BatchMessage, len(recvs)),
+	}
+	for i := range sends {
+		if err := stageSend(&sends[i]); err != nil {
+			return nil, nil, fmt.Errorf("core: send %d: %w", i, err)
+		}
+		ep.Sends[i] = nic.ExchangeSend{Msg: sends[i].Msg, Dst: -1}
+		if pair {
+			ep.Sends[i].Dst, ep.Sends[i].DstRecv = 0, i
 		}
 	}
-	res, err := nic.RunExchange([]nic.ExchangeEndpoint{{Cfg: env.NIC, Recvs: batch}}, 1)
-	if err != nil {
-		return nil, err
+	for i := range recvs {
+		m := &recvs[i]
+		ep.Recvs[i] = nic.BatchMessage{
+			PT:     m.PT,
+			Bits:   m.Bits,
+			Packed: m.Packed,
+			Host:   m.Dst,
+			Start:  m.Start,
+			Order:  m.Order,
+		}
 	}
-	return res.Recvs[0], nil
+	res, err := nic.RunExchange([]nic.ExchangeEndpoint{ep}, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Sends[0], res.Recvs[0], nil
 }
 
 // Iovec implements Backend on the NIC simulator.
@@ -143,46 +160,6 @@ func stageSend(s *BackendSend) error {
 	return err
 }
 
-// FlushSends implements Backend on the NIC simulator: a send batch, every
-// send running against ONE outbound device, contending for its HPUs, host
-// read path, injection link and NIC memory. The sends are uncoupled: their
-// packets leave into the unmodeled fabric.
-func (SimBackend) FlushSends(env BackendEnv, sends []BackendSend) ([]nic.SendResult, error) {
-	batch := make([]nic.ExchangeSend, len(sends))
-	for i := range sends {
-		if err := stageSend(&sends[i]); err != nil {
-			return nil, fmt.Errorf("core: send %d: %w", i, err)
-		}
-		batch[i] = nic.ExchangeSend{Msg: sends[i].Msg, Dst: -1}
-	}
-	res, err := nic.RunExchange([]nic.ExchangeEndpoint{{Cfg: env.NIC, Sends: batch}}, 1)
-	if err != nil {
-		return nil, err
-	}
-	return res.Sends[0], nil
-}
-
-// Transfer implements Backend on the NIC simulator: coupled transfers on
-// one endpoint, each send pacing the endpoint's own receive through the
-// fabric, tx and rx devices in one simulation.
-func (SimBackend) Transfer(env BackendEnv, xfers []BackendTransfer) ([]nic.SendResult, []nic.Result, error) {
-	sends := make([]nic.ExchangeSend, len(xfers))
-	recvs := make([]nic.BatchMessage, len(xfers))
-	for i := range xfers {
-		x := &xfers[i]
-		if err := stageSend(&x.Send); err != nil {
-			return nil, nil, fmt.Errorf("core: transfer %d: %w", i, err)
-		}
-		sends[i] = nic.ExchangeSend{Msg: x.Send.Msg, Dst: 0, DstRecv: i}
-		recvs[i] = nic.BatchMessage{PT: x.Recv.PT, Bits: x.Recv.Bits, Packed: x.Recv.Packed, Host: x.Recv.Dst}
-	}
-	res, err := nic.RunExchange([]nic.ExchangeEndpoint{{Cfg: env.NIC, Recvs: recvs, Sends: sends}}, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Sends[0], res.Recvs[0], nil
-}
-
 // MemBackend executes messages directly on host memory: each posted
 // message's packed stream is scattered into its destination buffer by
 // replaying the committed type's region program on the CPU — no
@@ -195,98 +172,60 @@ type MemBackend struct{}
 // Name implements Backend.
 func (MemBackend) Name() string { return "mem" }
 
-// Flush implements Backend by unpacking every message on the CPU.
-func (MemBackend) Flush(env BackendEnv, msgs []BackendMessage) ([]nic.Result, error) {
-	results := make([]nic.Result, len(msgs))
-	for i := range msgs {
-		m := &msgs[i]
-		res := nic.Result{MsgBytes: int64(len(m.Packed)), FirstByte: m.Start}
+// Exchange implements Backend on the CPU: every send is a reference
+// ddt.Pack of the committed type, every receive a reference ddt.Unpack —
+// the differential oracle for the simulated handlers. Sends run first; a
+// paired receive starts when its send's injection ends.
+func (MemBackend) Exchange(env BackendEnv, sends []BackendSend, recvs []BackendMessage) ([]nic.SendResult, []nic.Result, error) {
+	pair, err := paired(sends, recvs)
+	if err != nil {
+		return nil, nil, err
+	}
+	sendRes := make([]nic.SendResult, len(sends))
+	for i := range sends {
+		s := &sends[i]
+		if s.Type == nil {
+			return nil, nil, fmt.Errorf("core: mem backend send %d needs a datatype", i)
+		}
+		if s.Msg.Packed != nil {
+			if _, err := ddt.PackInto(s.Type, s.Count, s.Src, s.Msg.Packed); err != nil {
+				return nil, nil, fmt.Errorf("core: mem backend send %d: %w", i, err)
+			}
+		}
+		pack := hostcpu.PackCost(env.Host, s.Type, s.Count)
+		sendRes[i] = nic.SendResult{
+			MsgBytes: s.Msg.MsgBytes,
+			CPUBusy:  pack.Time,
+			Injected: s.Msg.Start + pack.Time,
+			Regions:  s.Type.TotalBlocks(s.Count),
+		}
+	}
+	recvRes := make([]nic.Result, len(recvs))
+	for i := range recvs {
+		m := &recvs[i]
+		start := m.Start
+		if pair {
+			start = sendRes[i].Injected
+		}
+		res := nic.Result{MsgBytes: int64(len(m.Packed)), FirstByte: start}
 		if m.Type != nil {
 			if err := ddt.Unpack(m.Type, m.Count, m.Packed, m.Dst); err != nil {
-				return nil, fmt.Errorf("core: mem backend message %d: %w", i, err)
+				return nil, nil, fmt.Errorf("core: mem backend receive %d: %w", i, err)
 			}
 			cost := hostcpu.UnpackCost(env.Host, m.Type, m.Count)
-			res.Done = m.Start + cost.Time
+			res.Done = start + cost.Time
 			res.DMA = nic.DMAStats{Writes: m.Type.TotalBlocks(m.Count), Bytes: int64(len(m.Packed))}
 		} else {
 			// Non-processing path: the packed stream lands contiguously at
 			// the region offset.
 			copy(m.Dst[m.Region.Offset:], m.Packed)
-			cost := hostcpu.CopyCost(env.Host, int64(len(m.Packed)))
-			res.Done = m.Start + cost
+			res.Done = start + hostcpu.CopyCost(env.Host, int64(len(m.Packed)))
 			res.DMA = nic.DMAStats{Writes: 1, Bytes: int64(len(m.Packed))}
 		}
 		res.ProcTime = res.Done - res.FirstByte
-		results[i] = res
+		recvRes[i] = res
 	}
-	return results, nil
-}
-
-// memSend packs one message on the CPU and reports host-model timing.
-func memSend(env BackendEnv, s *BackendSend, i int) (nic.SendResult, error) {
-	if s.Type == nil {
-		return nic.SendResult{}, fmt.Errorf("core: mem backend send %d needs a datatype", i)
-	}
-	if s.Msg.Packed != nil {
-		if _, err := ddt.PackInto(s.Type, s.Count, s.Src, s.Msg.Packed); err != nil {
-			return nic.SendResult{}, fmt.Errorf("core: mem backend send %d: %w", i, err)
-		}
-	}
-	pack := hostcpu.PackCost(env.Host, s.Type, s.Count)
-	return nic.SendResult{
-		MsgBytes: s.Msg.MsgBytes,
-		CPUBusy:  pack.Time,
-		Injected: s.Msg.Start + pack.Time,
-		Regions:  s.Type.TotalBlocks(s.Count),
-	}, nil
-}
-
-// FlushSends implements Backend by packing on the CPU: every send is a
-// reference ddt.Pack of the committed type — the differential
-// oracle for the simulated gather handlers.
-func (MemBackend) FlushSends(env BackendEnv, sends []BackendSend) ([]nic.SendResult, error) {
-	results := make([]nic.SendResult, len(sends))
-	for i := range sends {
-		r, err := memSend(env, &sends[i], i)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	return results, nil
-}
-
-// Transfer implements Backend as pack-then-unpack on the CPU: the
-// reference pipeline every coupled simulated transfer must reproduce
-// byte for byte.
-func (MemBackend) Transfer(env BackendEnv, xfers []BackendTransfer) ([]nic.SendResult, []nic.Result, error) {
-	sends := make([]nic.SendResult, len(xfers))
-	recvs := make([]nic.Result, len(xfers))
-	for i := range xfers {
-		x := &xfers[i]
-		sr, err := memSend(env, &x.Send, i)
-		if err != nil {
-			return nil, nil, err
-		}
-		sends[i] = sr
-		m := &x.Recv
-		rr := nic.Result{MsgBytes: int64(len(m.Packed)), FirstByte: sr.Injected}
-		if m.Type != nil {
-			if err := ddt.Unpack(m.Type, m.Count, m.Packed, m.Dst); err != nil {
-				return nil, nil, fmt.Errorf("core: mem backend transfer %d: %w", i, err)
-			}
-			cost := hostcpu.UnpackCost(env.Host, m.Type, m.Count)
-			rr.Done = sr.Injected + cost.Time
-			rr.DMA = nic.DMAStats{Writes: m.Type.TotalBlocks(m.Count), Bytes: int64(len(m.Packed))}
-		} else {
-			copy(m.Dst[m.Region.Offset:], m.Packed)
-			rr.Done = sr.Injected + hostcpu.CopyCost(env.Host, int64(len(m.Packed)))
-			rr.DMA = nic.DMAStats{Writes: 1, Bytes: int64(len(m.Packed))}
-		}
-		rr.ProcTime = rr.Done - rr.FirstByte
-		recvs[i] = rr
-	}
-	return sends, recvs, nil
+	return sendRes, recvRes, nil
 }
 
 // Iovec implements Backend by scattering the region list on the CPU.

@@ -264,9 +264,9 @@ func hammerRound(sc *SharedCaches, st churnType, seed int64) error {
 	_, hi := typ.Footprint(st.count)
 	dst := make([]byte, hi)
 	env := BackendEnv{NIC: p.NIC, Host: p.Host}
-	if _, err := oneShot.flushOne(env, BackendMessage{
+	if _, _, err := (SimBackend{}).Exchange(env, nil, []BackendMessage{{
 		Type: typ, Count: st.count, PT: off.PT(), Bits: 1, Packed: packed, Dst: dst,
-	}); err != nil {
+	}}); err != nil {
 		return err
 	}
 	return verifyReference(typ, st.count, packed, dst, hi)

@@ -148,19 +148,7 @@ func (s *Session) RunCluster(req ClusterRequest) (ClusterResult, error) {
 		Windows:  nicRes.Windows,
 	}
 	for i := range eps {
-		r := Result{
-			Strategy: req.Strategy,
-			MsgBytes: msgSize,
-			Gamma:    typ.Gamma(req.Count, req.NIC.Fabric.MTU),
-			NIC:      nicRes.Results[i],
-			ProcTime: nicRes.Results[i].ProcTime,
-			NICBytes: offs[i].Ctx.NICMemBytes,
-			Prep:     offs[i].Prep,
-			Interval: offs[i].Interval, Checkpoints: offs[i].Checkpoints,
-			Choice:       offs[i].Choice,
-			SpecKind:     offs[i].SpecKind,
-			TrafficBytes: msgSize,
-		}
+		r := offs[i].result(typ, req.Count, req.NIC.Fabric.MTU, nicRes.Results[i])
 		if req.Verify {
 			if err := verifyRecv(typ, req.Count, packs[i], *dsts[i], hi, dsts[i]); err != nil {
 				return ClusterResult{}, fmt.Errorf("core: cluster endpoint %d %v: %w", i, req.Strategy, err)

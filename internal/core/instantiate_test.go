@@ -13,7 +13,7 @@ import (
 	"spinddt/internal/nic"
 )
 
-// runOff drives one packed message through off on the shared backend and
+// runOff drives one packed message through off on the simulated backend and
 // returns the device result plus the receive buffer. The offload is NOT
 // released — the caller owns its lifecycle so tests can replay one
 // instance across runs.
@@ -24,14 +24,14 @@ func runOff(t *testing.T, off *Offload, typ *ddt.Type, count int, order []int, s
 	packed := payloadFor(seed, msgSize)
 	dst := make([]byte, hi)
 	env := BackendEnv{NIC: nic.DefaultConfig(), Host: hostcpu.DefaultConfig()}
-	res, err := oneShot.flushOne(env, BackendMessage{
+	_, res, err := SimBackend{}.Exchange(env, nil, []BackendMessage{{
 		Type: typ, Count: count, PT: off.PT(), Bits: 1,
 		Packed: packed, Dst: dst, Order: order,
-	})
+	}})
 	if err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	return res, dst
+	return res[0], dst
 }
 
 // spillType returns a committed type whose typemap starts past the
@@ -217,10 +217,10 @@ func TestInstantiateReleaseRace(t *testing.T) {
 				}
 				packed := payloadFor(int64(g*rounds+i+1), msgSize)
 				dst := make([]byte, hi)
-				if _, err := oneShot.flushOne(env, BackendMessage{
+				if _, _, err := (SimBackend{}).Exchange(env, nil, []BackendMessage{{
 					Type: typ, Count: 1, PT: off.PT(), Bits: 1,
 					Packed: packed, Dst: dst,
-				}); err != nil {
+				}}); err != nil {
 					errs <- err.Error()
 					return
 				}

@@ -25,8 +25,6 @@ type Request struct {
 
 	// Epsilon is the checkpoint heuristic tolerance.
 	Epsilon float64
-	// PktBufBytes feeds the heuristic's packet-buffer check (0 = off).
-	PktBufBytes int64
 	// ForceIntervalBytes overrides the checkpoint interval (ablations).
 	ForceIntervalBytes int64
 	// DisableNormalization skips datatype normalization (ablations).
@@ -132,49 +130,54 @@ func (s *Session) Run(req Request) (Result, error) {
 	// pooled.
 	packed := payloadFor(req.Seed, msgSize)
 	dstBuf := getZeroBuf(hi)
-	dst := *dstBuf
-
-	res := Result{
-		Strategy: req.Strategy,
-		MsgBytes: msgSize,
-		Gamma:    typ.Gamma(req.Count, req.NIC.Fabric.MTU),
+	res, _, err := s.receive(req.Strategy, BuildParams{
+		Type: typ, Count: req.Count,
+		NIC: req.NIC, Cost: req.Cost, Host: req.Host,
+		Epsilon:              req.Epsilon,
+		ForceIntervalBytes:   req.ForceIntervalBytes,
+		DisableNormalization: req.DisableNormalization,
+	}, packed, *dstBuf, req.Order, nil)
+	if err != nil {
+		return Result{}, err
 	}
-
-	env := BackendEnv{NIC: req.NIC, Host: req.Host}
-
-	switch req.Strategy {
-	case HostUnpack:
-		// RDMA the packed stream to a staging buffer, then unpack on the
-		// CPU with cold caches.
-		stagingBuf := getBuf(msgSize)
-		staging := *stagingBuf
-		pt := singleMatchPT(&portals.ME{Match: 1, Region: portals.HostRegion{Length: msgSize}})
-		nicRes, err := s.flushOne(env, BackendMessage{
-			PT: pt, Bits: 1, Region: portals.HostRegion{Length: msgSize},
-			Packed: packed, Dst: staging, Order: req.Order,
-		})
-		if err != nil {
-			return Result{}, err
+	if req.Verify {
+		if err := verifyRecv(typ, req.Count, packed, *dstBuf, hi, dstBuf); err != nil {
+			return Result{}, fmt.Errorf("core: %v %w", req.Strategy, err)
 		}
-		cost := hostcpu.UnpackCost(req.Host, typ, req.Count)
-		if err := ddt.Unpack(typ, req.Count, staging, dst); err != nil {
-			return Result{}, err
-		}
-		putBuf(stagingBuf)
-		res.NIC = nicRes
-		res.RecvTime = nicRes.ProcTime
-		res.UnpackCPU = cost.Time
-		res.ProcTime = nicRes.ProcTime + cost.Time
-		res.TrafficBytes = msgSize + cost.TrafficBytes
+		res.Verified = true
+	} else {
+		putBuf(dstBuf)
+	}
+	return res, nil
+}
 
+// receive lands the packed stream of p.Count elements of p.Type in dst
+// with the receive strategy on the session backend: RDMA into a staging
+// buffer and a CPU unpack (HostUnpack), the iovec baseline, or an offload
+// instance built from p. order permutes packet delivery. A non-nil send
+// paces the receive through the fabric and fills packed as it runs; its
+// result comes back too. The Result is complete but for Verified.
+func (s *Session) receive(strategy Strategy, p BuildParams, packed, dst []byte, order []int, send *BackendSend) (Result, nic.SendResult, error) {
+	typ, count := p.Type, p.Count
+	msgSize := int64(len(packed))
+	env := BackendEnv{NIC: p.NIC, Host: p.Host}
+	res := Result{Strategy: strategy, MsgBytes: msgSize, Gamma: typ.Gamma(count, p.NIC.Fabric.MTU)}
+
+	msg := BackendMessage{Bits: 1, Packed: packed, Dst: dst, Order: order}
+	var off *Offload
+	var stagingBuf *[]byte
+	switch strategy {
 	case PortalsIovec:
-		regions := typ.Flatten(req.Count)
-		if req.Order != nil {
-			return Result{}, fmt.Errorf("core: the iovec baseline assumes in-order delivery")
+		if send != nil {
+			return Result{}, nic.SendResult{}, fmt.Errorf("core: the iovec baseline does not support coupled transfers")
+		}
+		regions := typ.Flatten(count)
+		if order != nil {
+			return Result{}, nic.SendResult{}, fmt.Errorf("core: the iovec baseline assumes in-order delivery")
 		}
 		nicRes, err := s.backend.Iovec(env, regions, packed, dst)
 		if err != nil {
-			return Result{}, err
+			return Result{}, nic.SendResult{}, err
 		}
 		listBytes := int64(len(regions)) * 16
 		res.NIC = nicRes
@@ -183,49 +186,77 @@ func (s *Session) Run(req Request) (Result, error) {
 		// The iovec list lives in host memory and is fetched over PCIe.
 		res.TrafficBytes = msgSize + listBytes
 		res.Prep = HostPrep{
-			CPUTime:   hostcpu.WalkCost(req.Host, int64(len(regions))),
+			CPUTime:   hostcpu.WalkCost(p.Host, int64(len(regions))),
 			CopyBytes: listBytes,
 		}
+		return res, nic.SendResult{}, nil
+
+	case HostUnpack:
+		// RDMA the packed stream to a staging buffer, then unpack on the
+		// CPU with cold caches.
+		stagingBuf = getBuf(msgSize)
+		msg.Region = portals.HostRegion{Length: msgSize}
+		msg.PT = singleMatchPT(&portals.ME{Match: 1, Region: msg.Region})
+		msg.Dst = *stagingBuf
 
 	default:
-		off, err := s.caches.buildOffload(req.Strategy, BuildParams{
-			Type: typ, Count: req.Count,
-			NIC: req.NIC, Cost: req.Cost, Host: req.Host,
-			Epsilon: req.Epsilon, PktBufBytes: req.PktBufBytes,
-			ForceIntervalBytes:   req.ForceIntervalBytes,
-			DisableNormalization: req.DisableNormalization,
-		})
-		if err != nil {
-			return Result{}, err
+		var err error
+		if off, err = s.caches.buildOffload(strategy, p); err != nil {
+			return Result{}, nic.SendResult{}, err
 		}
-		nicRes, err := s.flushOne(env, BackendMessage{
-			Type: typ, Count: req.Count, PT: off.PT(), Bits: 1,
-			Packed: packed, Dst: dst, Order: req.Order,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		res.NIC = nicRes
-		res.ProcTime = nicRes.ProcTime
-		res.NICBytes = off.Ctx.NICMemBytes
-		res.Prep = off.Prep
-		res.Interval = off.Interval
-		res.Checkpoints = off.Checkpoints
-		res.Choice = off.Choice
-		res.SpecKind = off.SpecKind
-		res.TrafficBytes = msgSize // zero-copy: only the data lands in memory
-		off.Release()
+		msg.Type, msg.Count, msg.PT = typ, count, off.PT()
 	}
 
-	if req.Verify {
-		if err := verifyRecv(typ, req.Count, packed, dst, hi, dstBuf); err != nil {
-			return Result{}, fmt.Errorf("core: %v %w", req.Strategy, err)
-		}
-		res.Verified = true
-	} else {
-		putBuf(dstBuf)
+	var sends []BackendSend
+	if send != nil {
+		sends = []BackendSend{*send}
 	}
-	return res, nil
+	sendRes, recvRes, err := s.backend.Exchange(env, sends, []BackendMessage{msg})
+	if err != nil {
+		return Result{}, nic.SendResult{}, err
+	}
+	var sr nic.SendResult
+	if send != nil {
+		sr = sendRes[0]
+	}
+	nicRes := recvRes[0]
+	if off != nil {
+		res = off.result(typ, count, p.NIC.Fabric.MTU, nicRes)
+		off.Release()
+		return res, sr, nil
+	}
+	cost := hostcpu.UnpackCost(p.Host, typ, count)
+	if err := ddt.Unpack(typ, count, msg.Dst, dst); err != nil {
+		return Result{}, nic.SendResult{}, err
+	}
+	putBuf(stagingBuf)
+	res.NIC = nicRes
+	res.RecvTime = nicRes.ProcTime
+	res.UnpackCPU = cost.Time
+	res.ProcTime = nicRes.ProcTime + cost.Time
+	res.TrafficBytes = msgSize + cost.TrafficBytes
+	return res, sr, nil
+}
+
+// result assembles the Result of one message the offload received: the
+// device result plus the build's bookkeeping. Only the data lands in host
+// memory (zero-copy), so the traffic is the message itself.
+func (o *Offload) result(typ *ddt.Type, count int, mtu int64, nicRes nic.Result) Result {
+	msgSize := typ.Size() * int64(count)
+	return Result{
+		Strategy:     o.Strategy,
+		MsgBytes:     msgSize,
+		Gamma:        typ.Gamma(count, mtu),
+		NIC:          nicRes,
+		ProcTime:     nicRes.ProcTime,
+		NICBytes:     o.Ctx.NICMemBytes,
+		Prep:         o.Prep,
+		Interval:     o.Interval,
+		Checkpoints:  o.Checkpoints,
+		Choice:       o.Choice,
+		SpecKind:     o.SpecKind,
+		TrafficBytes: msgSize,
+	}
 }
 
 // errRecvMismatch is verifyReference's verdict on a receive buffer that

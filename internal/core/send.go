@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"spinddt/internal/ddt"
-	"spinddt/internal/hostcpu"
 	"spinddt/internal/nic"
 	"spinddt/internal/sim"
 )
@@ -73,18 +72,11 @@ type SendFuture struct {
 }
 
 // txBuild is the once-built sender state of one (handle, count): the
-// strategy-mapped device message parameters plus, for the gathered path,
-// the shared gather context.
+// send recipe of the handle's strategy.
 type txBuild struct {
 	once sync.Once
 	err  error
-
-	kind     nic.TxKind
-	off      *TxOffload // TxProcessPut
-	packTime sim.Time   // TxPacked
-	ready    []sim.Time // TxStreaming (relative to Start)
-	cpu      sim.Time
-	regions  int64
+	sendRecipe
 
 	// posted flips on the first flushed send: Fig. 18 semantics on the
 	// sender side — later sends of the same build report zero prep.
@@ -100,13 +92,25 @@ func (b *txBuild) prep() HostPrep {
 	return HostPrep{}
 }
 
+// sendStrategy maps the handle's receive strategy to its sender pipeline:
+// HostUnpack commits to CPU pack+send, PortalsIovec to streaming puts (the
+// region list drives the announcements), and every offloaded strategy to
+// the NIC-side gather — the sPIN offload is symmetric, so a handle
+// committed for an offloaded receive sends through the same committed
+// layout.
+func (h *TypeHandle) sendStrategy() SendStrategy {
+	switch h.strategy {
+	case HostUnpack:
+		return PackSend
+	case PortalsIovec:
+		return StreamingPuts
+	default:
+		return OutboundSpin
+	}
+}
+
 // buildTx returns the once-built sender state for count elements, building
-// it on first use. The handle's receive strategy selects the sender
-// pipeline: HostUnpack commits to CPU pack+send, PortalsIovec to streaming
-// puts (the region list drives the announcements), and every offloaded
-// strategy to the NIC-side gather — the sPIN offload is symmetric, so a
-// handle committed for an offloaded receive sends through the same
-// committed layout.
+// it on first use.
 func (h *TypeHandle) buildTx(count int) (*txBuild, error) {
 	cb, err := h.builtFor(count)
 	if err != nil {
@@ -114,24 +118,10 @@ func (h *TypeHandle) buildTx(count int) (*txBuild, error) {
 	}
 	b := &cb.tx
 	b.once.Do(func() {
-		sess := h.sess
-		typ := h.typ
-		switch h.strategy {
-		case HostUnpack:
-			b.kind = nic.TxPacked
-			b.packTime = hostcpu.PackCost(sess.cfg.Host, typ, count).Time
-		case PortalsIovec:
-			b.kind = nic.TxStreaming
-			regions := typ.Flatten(count)
-			b.ready, b.cpu, _, b.err = nic.StreamingSchedule(sess.cfg.NIC, regions, sess.cfg.Host.InterpPerBlock)
-			b.regions = int64(len(regions))
-		default:
-			b.kind = nic.TxProcessPut
-			b.off, b.err = sess.caches.buildTxOffload(BuildParams{
-				Type: typ, Count: count,
-				NIC: sess.cfg.NIC, Cost: sess.cfg.Cost, Host: sess.cfg.Host,
-			})
-		}
+		cfg := &h.sess.cfg
+		b.sendRecipe, b.err = h.sess.caches.sendRecipe(h.sendStrategy(), BuildParams{
+			Type: h.typ, Count: count, NIC: cfg.NIC, Cost: cfg.Cost, Host: cfg.Host,
+		})
 	})
 	if b.err != nil {
 		return nil, b.err
@@ -208,29 +198,15 @@ func (ep *Endpoint) flushSendsLocked() error {
 
 	sends := make([]BackendSend, len(ops))
 	for i, op := range ops {
-		b := op.build
 		sends[i] = BackendSend{
 			Type:  op.h.typ,
 			Count: op.count,
 			Src:   op.src,
-			Msg: nic.TxMessage{
-				Kind:     b.kind,
-				MsgBytes: int64(len(op.packed)),
-				Start:    op.opts.Start,
-				PackTime: b.packTime,
-				ReadyAt:  b.ready,
-				CPUTime:  b.cpu,
-				Regions:  b.regions,
-				Src:      op.src,
-				Packed:   op.packed,
-			},
-		}
-		if b.off != nil {
-			sends[i].Msg.Ctx = b.off.Ctx
+			Msg:   op.build.message(op.opts.Start, op.src, op.packed),
 		}
 	}
 	env := BackendEnv{NIC: ep.sess.cfg.NIC, Host: ep.sess.cfg.Host}
-	results, err := ep.sess.backend.FlushSends(env, sends)
+	results, _, err := ep.sess.backend.Exchange(env, sends, nil)
 	if err != nil {
 		for _, op := range ops {
 			op.done, op.err = true, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -101,6 +102,45 @@ func TestRunSendMatchesEndpointSend(t *testing.T) {
 				c.name, one.HPUBusy, one.HandlerRuns, rep.NIC.HPUBusy, rep.NIC.HandlerRuns)
 		}
 	}
+}
+
+// TestOversizedGatherRejectedEverywhere: RunSend, Endpoint.Send and
+// RunTransfer build one gather context for a layout, so they share its
+// NIC-memory admission. An irregular indexed_block of 300,000 one-int
+// regions needs a 4.8 MB offset list on the NIC, past its 4 MiB, and all
+// three must reject it.
+func TestOversizedGatherRejectedEverywhere(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	displs := make([]int, 300000)
+	for i := 1; i < len(displs); i++ {
+		displs[i] = displs[i-1] + 2 + rng.Intn(3)
+	}
+	typ := ddt.MustIndexedBlock(1, displs, ddt.Int)
+	admission := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "NIC memory") {
+			t.Errorf("%s: err = %v, want a NIC-memory admission failure", what, err)
+		}
+	}
+
+	_, err := RunSend(NewSendRequest(OutboundSpin, typ, 1))
+	admission("RunSend", err)
+
+	sess := NewSession(NewSessionConfig())
+	defer sess.Close()
+	h, err := sess.CommitAs(typ, RWCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := sess.Endpoint(EndpointConfig{}).Send(h, 1, SendOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Wait()
+	admission("Endpoint.Send", err)
+
+	_, err = RunTransfer(NewTransferRequest(OutboundSpin, HostUnpack, typ, 1))
+	admission("RunTransfer", err)
 }
 
 // TestEndpointSendAllStrategies: every commit strategy maps to a working

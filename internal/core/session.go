@@ -24,8 +24,6 @@ type SessionConfig struct {
 	Host hostcpu.Config
 	// Epsilon is the checkpoint heuristic tolerance (paper: 0.2).
 	Epsilon float64
-	// PktBufBytes feeds the heuristic's packet-buffer check (0 = off).
-	PktBufBytes int64
 	// Backend executes posted messages; nil selects SimBackend.
 	Backend Backend
 	// Caches, when non-nil, is a cache set shared with other sessions:
@@ -355,7 +353,7 @@ func (h *TypeHandle) build(count int) (*handleBuild, error) {
 		b.template, b.err = h.sess.caches.buildOffload(h.strategy, BuildParams{
 			Type: h.typ, Count: count,
 			NIC: h.sess.cfg.NIC, Cost: h.sess.cfg.Cost, Host: h.sess.cfg.Host,
-			Epsilon: h.sess.cfg.Epsilon, PktBufBytes: h.sess.cfg.PktBufBytes,
+			Epsilon: h.sess.cfg.Epsilon,
 		})
 	})
 	if b.err != nil {
@@ -572,7 +570,7 @@ func (ep *Endpoint) flushLocked() error {
 	env := BackendEnv{NIC: ep.sess.cfg.NIC, Host: ep.sess.cfg.Host}
 	env.NIC.Trace = ep.cfg.Trace // session-level traces are rejected at NewSession
 	release := ep.sess.acquireTrace(ep.cfg.Trace)
-	results, err := ep.sess.backend.Flush(env, msgs)
+	_, results, err := ep.sess.backend.Exchange(env, nil, msgs)
 	release()
 	// Retire this flush's match entries whether or not the backend
 	// consumed them (SimBackend unlinks at match time; a host backend
@@ -617,25 +615,12 @@ func (op *postOp) releaseOff() {
 // applying the Fig. 18 amortization: only the first flushed post of a
 // (handle, count) build reports the host preparation cost.
 func (ep *Endpoint) finishOp(op *postOp, nicRes nic.Result) (Result, error) {
-	typ := op.h.typ
-	res := Result{
-		Strategy:     op.h.strategy,
-		MsgBytes:     int64(len(op.packed)),
-		Gamma:        typ.Gamma(op.count, ep.sess.cfg.NIC.Fabric.MTU),
-		NIC:          nicRes,
-		ProcTime:     nicRes.ProcTime,
-		NICBytes:     op.off.Ctx.NICMemBytes,
-		Interval:     op.off.Interval,
-		Checkpoints:  op.off.Checkpoints,
-		Choice:       op.off.Choice,
-		SpecKind:     op.off.SpecKind,
-		TrafficBytes: int64(len(op.packed)),
-	}
-	if op.build.posted.CompareAndSwap(false, true) {
-		res.Prep = op.off.Prep
+	res := op.off.result(op.h.typ, op.count, ep.sess.cfg.NIC.Fabric.MTU, nicRes)
+	if !op.build.posted.CompareAndSwap(false, true) {
+		res.Prep = HostPrep{}
 	}
 	if !op.opts.NoVerify {
-		if err := verifyRecv(typ, op.count, op.packed, op.dst, op.hi, op.dstBuf); err != nil {
+		if err := verifyRecv(op.h.typ, op.count, op.packed, op.dst, op.hi, op.dstBuf); err != nil {
 			return Result{}, fmt.Errorf("core: %v (backend %s): %w", op.h.strategy, ep.sess.backend.Name(), err)
 		}
 		res.Verified = true
@@ -643,16 +628,6 @@ func (ep *Endpoint) finishOp(op *postOp, nicRes nic.Result) (Result, error) {
 		putBuf(op.dstBuf)
 	}
 	return res, nil
-}
-
-// flushOne runs a single backend message and returns its device result
-// (the one-shot wrappers' path into the backend).
-func (s *Session) flushOne(env BackendEnv, msg BackendMessage) (nic.Result, error) {
-	results, err := s.backend.Flush(env, []BackendMessage{msg})
-	if err != nil {
-		return nic.Result{}, err
-	}
-	return results[0], nil
 }
 
 // Wait flushes the endpoint if the message is still pending and returns

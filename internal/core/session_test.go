@@ -567,25 +567,18 @@ func TestSessionErrorPaths(t *testing.T) {
 // errBackendDown is the whole-batch failure downBackend returns.
 var errBackendDown = errors.New("backend down")
 
-// downBackend is MemBackend whose receive and send flushes fail as a
+// downBackend is MemBackend whose receive and send batches fail as a
 // whole, with no per-message results, while down is set.
 type downBackend struct {
 	MemBackend
 	down bool
 }
 
-func (b *downBackend) Flush(env BackendEnv, msgs []BackendMessage) ([]nic.Result, error) {
+func (b *downBackend) Exchange(env BackendEnv, sends []BackendSend, recvs []BackendMessage) ([]nic.SendResult, []nic.Result, error) {
 	if b.down {
-		return nil, errBackendDown
+		return nil, nil, errBackendDown
 	}
-	return b.MemBackend.Flush(env, msgs)
-}
-
-func (b *downBackend) FlushSends(env BackendEnv, sends []BackendSend) ([]nic.SendResult, error) {
-	if b.down {
-		return nil, errBackendDown
-	}
-	return b.MemBackend.FlushSends(env, sends)
+	return b.MemBackend.Exchange(env, sends, recvs)
 }
 
 // TestBackendFailureFailsBatch pins the whole-batch failure path: a

@@ -225,8 +225,8 @@ type skewBackend struct {
 	gap bool
 }
 
-func (b skewBackend) Flush(env BackendEnv, msgs []BackendMessage) ([]nic.Result, error) {
-	res, err := b.MemBackend.Flush(env, msgs)
+func (b skewBackend) Exchange(env BackendEnv, sends []BackendSend, msgs []BackendMessage) ([]nic.SendResult, []nic.Result, error) {
+	sent, res, err := b.MemBackend.Exchange(env, sends, msgs)
 	for _, m := range msgs {
 		r := m.Type.Flatten(m.Count)[0]
 		if b.gap {
@@ -236,7 +236,7 @@ func (b skewBackend) Flush(env BackendEnv, msgs []BackendMessage) ([]nic.Result,
 			m.Dst[r.Offset] = 0
 		}
 	}
-	return res, err
+	return sent, res, err
 }
 
 // TestVerifyCatchesBackendSkew runs an in-process Post + Flush on a

@@ -40,12 +40,13 @@ func Fig02Latency() (*Table, error) {
 		if err := pt.Append(portals.PriorityList, me); err != nil {
 			return 0, err
 		}
-		host := make([]byte, 1)
-		res, err := nic.Receive(cfg, pt, 1, packed, host, nil)
+		res, err := nic.RunExchange([]nic.ExchangeEndpoint{{Cfg: cfg, Recvs: []nic.BatchMessage{{
+			PT: pt, Bits: 1, Packed: packed, Host: make([]byte, 1),
+		}}}}, 1)
 		if err != nil {
 			return 0, err
 		}
-		return res.Done, nil
+		return res.Recvs[0][0].Done, nil
 	}
 
 	rdma, err := run(nil)

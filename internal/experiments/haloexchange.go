@@ -136,42 +136,62 @@ func (h *haloRing) recycle() {
 	}
 }
 
-// haloStats aggregates one exchange run of the ring.
-type haloStats struct {
+// flows lists the ring's messages in each rank's send order: rank r
+// sends its leftward message into its left neighbor's slot 0, then its
+// rightward one into its right neighbor's slot 1.
+func (h *haloRing) flows() []flow {
+	fl := make([]flow, 0, h.ranks*haloDirs)
+	for r := 0; r < h.ranks; r++ {
+		left := (r + h.ranks - 1) % h.ranks
+		right := (r + 1) % h.ranks
+		fl = append(fl,
+			flow{src: r, dst: left, slot: 0, srcBuf: h.srcs[r*haloDirs], dstBuf: h.dsts[left*haloDirs]},
+			flow{src: r, dst: right, slot: 1, srcBuf: h.srcs[r*haloDirs+1], dstBuf: h.dsts[right*haloDirs+1]})
+	}
+	return fl
+}
+
+// flow is one message of an exchange figure: rank src gathers it from
+// srcBuf and sends it to receive slot slot of rank dst, which scatters it
+// into dstBuf.
+type flow struct {
+	src, dst, slot int
+	srcBuf, dstBuf []byte
+}
+
+// exchangeStats aggregates one exchange run.
+type exchangeStats struct {
 	sendMax, hpuMax, recvMax, lastDone sim.Time
 	makespan                           sim.Time
 	windows                            uint64
 	verified                           int
 }
 
-// runHalo simulates one full ring halo exchange of h under one offload
-// strategy: every rank's two outbound messages are gathered functionally
-// by sender-side sPIN handlers (streamed as pooled wire chunks across the
-// rank domains) and its two inbound messages scattered into the rank's
-// destination footprints, which are then byte-verified against the
-// reference pack+unpack of the sending rank's source.
-func runHalo(typ *ddt.Type, h *haloRing, strategy core.Strategy) (haloStats, error) {
-	ranks := h.ranks
-	txoff, err := core.BuildTxOffload(core.BuildParams{
+// runExchange simulates one exchange of msgBytes-byte messages of the
+// committed type among ranks endpoints under one offload strategy: each
+// rank's sends, in flow order, are gathered functionally by sender-side
+// sPIN handlers (streamed as pooled wire chunks across the rank domains),
+// and each flow is scattered into its destination buffer, which is then
+// byte-verified against the reference pack+unpack of its source. A rank's
+// receive slots are 0..n-1, one flow each.
+func runExchange(typ *ddt.Type, msgBytes int64, ranks int, flows []flow, strategy core.Strategy) (exchangeStats, error) {
+	p := core.BuildParams{
 		Type: typ, Count: 1,
 		NIC: nic.DefaultConfig(), Cost: core.DefaultCostModel(), Host: hostcpu.DefaultConfig(),
-	})
+	}
+	txoff, err := core.BuildTxOffload(p)
 	if err != nil {
-		return haloStats{}, fmt.Errorf("halo %v gather: %w", strategy, err)
+		return exchangeStats{}, fmt.Errorf("%v gather: %w", strategy, err)
 	}
 
-	// Build the receive offload once; every (rank, slot) instantiates from
-	// its template. Instantiation is parallelized across the executor's
+	// Build the receive offload once; every flow instantiates from its
+	// template. Instantiation is parallelized across the executor's
 	// worker budget — on a warm pool it is pointer pops, cold it clones the
 	// checkpoint working sets, and either way no per-slot rebuild happens.
-	offs := make([]*core.Offload, ranks*haloDirs)
-	offs[0], err = core.BuildOffload(strategy, core.BuildParams{
-		Type: typ, Count: 1,
-		NIC: nic.DefaultConfig(), Cost: core.DefaultCostModel(), Host: hostcpu.DefaultConfig(),
-		Epsilon: 0.2,
-	})
-	if err != nil {
-		return haloStats{}, fmt.Errorf("halo %v: %w", strategy, err)
+	p.Epsilon = 0.2
+	offs := make([]*core.Offload, len(flows))
+	if offs[0], err = core.BuildOffload(strategy, p); err != nil {
+		return exchangeStats{}, fmt.Errorf("%v: %w", strategy, err)
 	}
 	workers := clusterWorkers()
 	if workers > len(offs)-1 {
@@ -194,70 +214,59 @@ func runHalo(typ *ddt.Type, h *haloRing, strategy core.Strategy) (haloStats, err
 		wg.Wait()
 		for _, e := range errs {
 			if e != nil {
-				return haloStats{}, fmt.Errorf("halo %v: %w", strategy, e)
+				return exchangeStats{}, fmt.Errorf("%v: %w", strategy, e)
 			}
 		}
 	} else {
 		for i := 1; i < len(offs); i++ {
 			if offs[i], err = offs[0].Instantiate(); err != nil {
-				return haloStats{}, fmt.Errorf("halo %v: %w", strategy, err)
+				return exchangeStats{}, fmt.Errorf("%v: %w", strategy, err)
 			}
 		}
 	}
 
+	nSends, nRecvs := make([]int, ranks), make([]int, ranks)
+	for _, f := range flows {
+		nSends[f.src]++
+		nRecvs[f.dst]++
+	}
 	eps := make([]nic.ExchangeEndpoint, ranks)
-	for r := 0; r < ranks; r++ {
-		left := (r + ranks - 1) % ranks
-		right := (r + 1) % ranks
-		recvs := make([]nic.BatchMessage, haloDirs)
-		// Slot 0 receives from the right neighbor's leftward send, slot 1
-		// from the left neighbor's rightward send.
-		for slot := 0; slot < haloDirs; slot++ {
-			recvs[slot] = nic.BatchMessage{PT: offs[r*haloDirs+slot].PT(), Bits: 1, Host: h.dsts[r*haloDirs+slot]}
-		}
+	for r := range eps {
 		eps[r] = nic.ExchangeEndpoint{
 			Cfg:   nic.DefaultConfig(),
-			Recvs: recvs,
-			Sends: []nic.ExchangeSend{
-				{Msg: nic.TxMessage{Kind: nic.TxProcessPut, MsgBytes: h.msgBytes, Ctx: txoff.Ctx, Src: h.srcs[r*haloDirs+0]}, Dst: left, DstRecv: 0},
-				{Msg: nic.TxMessage{Kind: nic.TxProcessPut, MsgBytes: h.msgBytes, Ctx: txoff.Ctx, Src: h.srcs[r*haloDirs+1]}, Dst: right, DstRecv: 1},
-			},
+			Recvs: make([]nic.BatchMessage, nRecvs[r]),
+			Sends: make([]nic.ExchangeSend, 0, nSends[r]),
 		}
+	}
+	for i, f := range flows {
+		eps[f.dst].Recvs[f.slot] = nic.BatchMessage{PT: offs[i].PT(), Bits: 1, Host: f.dstBuf}
+		eps[f.src].Sends = append(eps[f.src].Sends, nic.ExchangeSend{
+			Msg: nic.TxMessage{Kind: nic.TxProcessPut, MsgBytes: msgBytes, Ctx: txoff.Ctx, Src: f.srcBuf},
+			Dst: f.dst, DstRecv: f.slot,
+		})
 	}
 
 	res, err := nic.RunExchange(eps, clusterWorkers())
 	if err != nil {
-		return haloStats{}, fmt.Errorf("halo %v: %w", strategy, err)
+		return exchangeStats{}, fmt.Errorf("%v: %w", strategy, err)
 	}
 
-	st := haloStats{makespan: res.Makespan, windows: res.Windows}
-	for r := 0; r < ranks; r++ {
+	st := exchangeStats{makespan: res.Makespan, windows: res.Windows}
+	for r := range eps {
 		var hpu sim.Time
 		for _, sr := range res.Sends[r] {
-			if sr.Injected > st.sendMax {
-				st.sendMax = sr.Injected
-			}
+			st.sendMax = max(st.sendMax, sr.Injected)
 			hpu += sr.HPUBusy
 		}
-		if hpu > st.hpuMax {
-			st.hpuMax = hpu
-		}
+		st.hpuMax = max(st.hpuMax, hpu)
 		for slot, rr := range res.Recvs[r] {
-			if rr.ProcTime > st.recvMax {
-				st.recvMax = rr.ProcTime
-			}
-			if res.Notified[r][slot] > st.lastDone {
-				st.lastDone = res.Notified[r][slot]
-			}
-			var from int
-			if slot == 0 {
-				from = ((r+1)%ranks)*haloDirs + 0
-			} else {
-				from = ((r+ranks-1)%ranks)*haloDirs + 1
-			}
-			if verifyHaloDst(typ, h.srcs[from], h.dsts[r*haloDirs+slot], h.hi, h.msgBytes) {
-				st.verified++
-			}
+			st.recvMax = max(st.recvMax, rr.ProcTime)
+			st.lastDone = max(st.lastDone, res.Notified[r][slot])
+		}
+	}
+	for _, f := range flows {
+		if verifyHaloDst(typ, f.srcBuf, f.dstBuf, msgBytes) {
+			st.verified++
 		}
 	}
 	for _, off := range offs {
@@ -266,59 +275,25 @@ func runHalo(typ *ddt.Type, h *haloRing, strategy core.Strategy) (haloStats, err
 	return st, nil
 }
 
-// verifyHaloDst checks one received destination against the sending rank's
-// source, region-wise: sender and receiver use the SAME committed type, so
-// the gather reads source block k and the scatter writes destination block
-// k at the same host offset — the destination must equal the source on
-// every typemap region and stay zero on every gap. This is byte-for-byte
-// the reference pack+unpack comparison, without materializing either.
-// Non-monotone typemaps (never produced by the halo figures' vector type)
-// fall back to the materialized reference.
-func verifyHaloDst(typ *ddt.Type, src, dst []byte, hi, msgBytes int64) bool {
-	monotone, ok := true, true
-	var cursor int64
-	typ.ForEachBlock(1, func(off, size int64) {
-		if !monotone || !ok {
-			return
-		}
-		if off < cursor || off+size > hi {
-			monotone = false
-			return
-		}
-		if !haloZero(dst[cursor:off]) || !bytes.Equal(dst[off:off+size], src[off:off+size]) {
-			ok = false
-			return
-		}
-		cursor = off + size
-	})
-	if monotone {
-		return ok && haloZero(dst[cursor:hi])
+// verifyHaloDst checks one received destination against the sending
+// rank's source. Sender and receiver use the SAME committed type, so dst
+// must be the reference unpack of the source's pack: the plan's Verify
+// kernel checks every region against the packed stream and every gap for
+// zero, without materializing the unpack. Non-monotone typemaps (never
+// produced by the exchange figures' vector type) fall back to the
+// materialized reference.
+func verifyHaloDst(typ *ddt.Type, src, dst []byte, msgBytes int64) bool {
+	packed := getHaloBuf(msgBytes)
+	defer putHaloBuf(packed)
+	if n, err := ddt.PackInto(typ, 1, src, packed); err != nil || n != msgBytes {
+		return false
 	}
-
-	scratch := getHaloBuf(msgBytes)
-	want := getZeroedHaloBuf(hi)
-	defer putHaloBuf(scratch)
+	if p := typ.Plan(); p != nil && p.Monotone(1) {
+		return p.Verify(1, packed, dst, false)
+	}
+	want := getZeroedHaloBuf(int64(len(dst)))
 	defer putHaloBuf(want)
-	if n, err := ddt.PackInto(typ, 1, src, scratch); err != nil || n != msgBytes {
-		return false
-	}
-	if err := ddt.Unpack(typ, 1, scratch, want); err != nil {
-		return false
-	}
-	return bytes.Equal(dst, want)
-}
-
-// haloZeros backs the vectorized gap checks of verifyHaloDst.
-var haloZeros [64 << 10]byte
-
-func haloZero(b []byte) bool {
-	for len(b) > len(haloZeros) {
-		if !bytes.Equal(b[:len(haloZeros)], haloZeros[:]) {
-			return false
-		}
-		b = b[len(haloZeros):]
-	}
-	return bytes.Equal(b, haloZeros[:len(b)])
+	return ddt.Unpack(typ, 1, packed, want) == nil && bytes.Equal(dst, want)
 }
 
 func haloSizeLabel(msgBytes int64) string {
@@ -362,10 +337,11 @@ func HaloExchange(ranks int, msgBytes int64) (*Table, error) {
 
 	ring := acquireHaloRing(ranks, msgBytes, hi)
 	defer ring.recycle()
+	flows := ring.flows()
 	for _, s := range core.OffloadStrategies {
-		st, err := runHalo(typ, ring, s)
+		st, err := runExchange(typ, msgBytes, ranks, flows, s)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("halo %w", err)
 		}
 		t.AddRow(s.String(), d64(int64(ranks*haloDirs)),
 			usec(st.sendMax.Microseconds()),
@@ -407,10 +383,10 @@ func HaloWeakScaling(maxRanks int, msgBytes int64) (*Table, error) {
 
 	for ranks := 8; ranks <= maxRanks; ranks *= 2 {
 		ring := acquireHaloRing(ranks, msgBytes, hi)
-		st, err := runHalo(typ, ring, core.RWCP)
+		st, err := runExchange(typ, msgBytes, ranks, ring.flows(), core.RWCP)
 		ring.recycle()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("halo %w", err)
 		}
 		t.AddRow(d64(int64(ranks)), d64(int64(ranks*haloDirs)),
 			usec(st.sendMax.Microseconds()),

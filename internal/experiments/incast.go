@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"spinddt/internal/core"
-	"spinddt/internal/ddt"
-	"spinddt/internal/hostcpu"
-	"spinddt/internal/nic"
 	"spinddt/internal/sim"
 )
 
@@ -20,102 +17,18 @@ import (
 // instances of ONE built template (the instantiate-not-rebuild layer), so
 // the figure's setup cost stays flat as the fan-in grows.
 
-// incastStats aggregates one fan-in run.
-type incastStats struct {
-	sendMax, recvMax, lastDone sim.Time
-	makespan                   sim.Time
-	windows                    uint64
-	verified                   int
-}
-
-// runIncast simulates senders -> 1 receiver, every message msgBytes of the
-// committed type, all first bits on the wire at t=0.
-func runIncast(typ *ddt.Type, senders int, msgBytes, hi int64) (incastStats, error) {
-	txoff, err := core.BuildTxOffload(core.BuildParams{
-		Type: typ, Count: 1,
-		NIC: nic.DefaultConfig(), Cost: core.DefaultCostModel(), Host: hostcpu.DefaultConfig(),
-	})
-	if err != nil {
-		return incastStats{}, fmt.Errorf("incast gather: %w", err)
+// incastFlows lists the fan-in's messages, all first bits on the wire at
+// t=0: endpoint 0 is the receiver (inbound batch of the whole fan-in, no
+// sends), endpoints 1..senders each inject one message into their slot.
+// The buffers come from the halo free-list.
+func incastFlows(senders int, hi int64) []flow {
+	flows := make([]flow, senders)
+	for i := range flows {
+		src := getHaloBuf(hi)
+		fillHaloSrc(int64(i+1), src)
+		flows[i] = flow{src: i + 1, dst: 0, slot: i, srcBuf: src, dstBuf: getZeroedHaloBuf(hi)}
 	}
-
-	// One build, senders instances: every receive slot of the fan-in plugs
-	// in its own pooled execution context minted from the same template.
-	offs := make([]*core.Offload, senders)
-	offs[0], err = core.BuildOffload(core.RWCP, core.BuildParams{
-		Type: typ, Count: 1,
-		NIC: nic.DefaultConfig(), Cost: core.DefaultCostModel(), Host: hostcpu.DefaultConfig(),
-		Epsilon: 0.2,
-	})
-	if err != nil {
-		return incastStats{}, fmt.Errorf("incast: %w", err)
-	}
-	for i := 1; i < senders; i++ {
-		if offs[i], err = offs[0].Instantiate(); err != nil {
-			return incastStats{}, fmt.Errorf("incast: %w", err)
-		}
-	}
-
-	srcs := make([][]byte, senders)
-	dsts := make([][]byte, senders)
-	for i := range srcs {
-		srcs[i] = getHaloBuf(hi)
-		fillHaloSrc(int64(i+1), srcs[i])
-		dsts[i] = getZeroedHaloBuf(hi)
-	}
-	defer func() {
-		for i := range srcs {
-			putHaloBuf(srcs[i])
-			putHaloBuf(dsts[i])
-		}
-	}()
-
-	// Endpoint 0 is the receiver (inbound batch of the whole fan-in, no
-	// sends); endpoints 1..senders each inject one message into their slot.
-	eps := make([]nic.ExchangeEndpoint, senders+1)
-	recvs := make([]nic.BatchMessage, senders)
-	for i := range recvs {
-		recvs[i] = nic.BatchMessage{PT: offs[i].PT(), Bits: 1, Host: dsts[i]}
-	}
-	eps[0] = nic.ExchangeEndpoint{Cfg: nic.DefaultConfig(), Recvs: recvs}
-	for s := 1; s <= senders; s++ {
-		eps[s] = nic.ExchangeEndpoint{
-			Cfg: nic.DefaultConfig(),
-			Sends: []nic.ExchangeSend{{
-				Msg: nic.TxMessage{Kind: nic.TxProcessPut, MsgBytes: msgBytes, Ctx: txoff.Ctx, Src: srcs[s-1]},
-				Dst: 0, DstRecv: s - 1,
-			}},
-		}
-	}
-
-	res, err := nic.RunExchange(eps, clusterWorkers())
-	if err != nil {
-		return incastStats{}, fmt.Errorf("incast: %w", err)
-	}
-
-	st := incastStats{makespan: res.Makespan, windows: res.Windows}
-	for s := 1; s <= senders; s++ {
-		for _, sr := range res.Sends[s] {
-			if sr.Injected > st.sendMax {
-				st.sendMax = sr.Injected
-			}
-		}
-	}
-	for slot, rr := range res.Recvs[0] {
-		if rr.ProcTime > st.recvMax {
-			st.recvMax = rr.ProcTime
-		}
-		if res.Notified[0][slot] > st.lastDone {
-			st.lastDone = res.Notified[0][slot]
-		}
-		if verifyHaloDst(typ, srcs[slot], dsts[slot], hi, msgBytes) {
-			st.verified++
-		}
-	}
-	for _, off := range offs {
-		off.Release()
-	}
-	return st, nil
+	return flows
 }
 
 // Incast reports the fan-in sweep: the sender count doubles from 1 to
@@ -145,9 +58,14 @@ func Incast(maxSenders int, msgBytes int64) (*Table, error) {
 
 	var base sim.Time
 	for senders := 1; senders <= maxSenders; senders *= 2 {
-		st, err := runIncast(typ, senders, msgBytes, hi)
+		flows := incastFlows(senders, hi)
+		st, err := runExchange(typ, msgBytes, senders+1, flows, core.RWCP)
+		for _, f := range flows {
+			putHaloBuf(f.srcBuf)
+			putHaloBuf(f.dstBuf)
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("incast %w", err)
 		}
 		if senders == 1 {
 			base = st.lastDone

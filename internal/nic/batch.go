@@ -13,9 +13,9 @@ import (
 // endpoint sees during a real exchange (alltoall, halo): packets of
 // overlapping messages interleave on the device instead of each message
 // having the NIC to itself. Messages whose arrival windows do not overlap
-// report exactly what an isolated Receive of the same message would
-// (shifted by Start); overlapping messages contend and slow each other
-// down, which is the point.
+// report exactly what a batch of that message alone would (shifted by
+// Start); overlapping messages contend and slow each other down, which is
+// the point.
 
 // BatchMessage describes one message of an endpoint's receives: its match
 // bits against the shared portal table, its packed stream and destination

@@ -21,17 +21,16 @@
 //
 // # One executor, many topologies
 //
-// RunExchange is the one executor of the model. A run is a topology of
-// endpoints, each one simulation domain owning both device halves, plus a
-// host domain collecting completion notifications over the PCIe round
-// trip. It substitutes for the Cray Slingshot SST model + gem5 setup of the
-// paper's Sec. 5.1. The one-NIC entry points are one-endpoint topologies:
+// The package exports three runners. RunExchange is the one executor of
+// the sPIN model. A run is a topology of endpoints, each one simulation
+// domain owning both device halves, plus a host domain collecting
+// completion notifications over the PCIe round trip. It substitutes for
+// the Cray Slingshot SST model + gem5 setup of the paper's Sec. 5.1. A
+// one-NIC run is a one-endpoint topology:
 //
-//   - a receive batch is one endpoint with Recvs (Receive is a batch of
-//     one message);
+//   - a receive batch is one endpoint with Recvs;
 //   - a send batch is one endpoint whose Sends have Dst < 0: the sends are
-//     uncoupled, their packets leave into an unmodeled fabric (SendPacked,
-//     SendStreaming and SendProcessPut are batches of one);
+//     uncoupled, their packets leave into an unmodeled fabric;
 //   - a coupled transfer is one endpoint whose Sends target its own Recvs:
 //     each injection becomes an arrival one wire latency later, so sender
 //     backpressure delays the receiver tick for tick.
@@ -48,9 +47,10 @@
 //     a send to another endpoint. Same-endpoint and uncoupled sends post
 //     nothing across domains.
 //
-// ReceiveCluster is the one separate runner: its fabric domain paces
-// every wire of a cluster receive and sets the cluster figure's windows;
-// ReceiveIovec models a different device (the Portals 4 iovec engine).
+// The other two runners stay separate: ReceiveCluster's fabric domain
+// paces every wire of a cluster receive and sets the cluster figure's
+// windows; ReceiveIovec models a different device (the Portals 4 iovec
+// engine).
 //
 // # Streamed wire bytes
 //

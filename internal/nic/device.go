@@ -463,29 +463,6 @@ func getArrivalBuf() *[]fabric.Arrival {
 
 func putArrivalBuf(buf *[]fabric.Arrival) { arrivalBufPool.Put(buf) }
 
-// Receive simulates the arrival and processing of one message: packets are
-// scheduled on the wire, matched through the portal table on the header
-// packet, and either processed by the matched entry's sPIN execution
-// context or delivered through the non-processing RDMA path. order
-// optionally permutes packet delivery (nil = in-order). It is a receive
-// batch of one message, run by RunExchange.
-//
-// host is the receiver's memory; an ME with a context scatters into it
-// through handler DMA writes, a plain ME lands the packed stream at its
-// region offset.
-func Receive(cfg Config, pt *portals.PT, bits portals.MatchBits, packed, host []byte, order []int) (Result, error) {
-	if len(packed) == 0 {
-		return Result{}, errors.New("nic: empty message")
-	}
-	res, err := RunExchange([]ExchangeEndpoint{{Cfg: cfg, Recvs: []BatchMessage{{
-		PT: pt, Bits: bits, Packed: packed, Host: host, Order: order,
-	}}}}, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	return res.Recvs[0][0], nil
-}
-
 // rxSimPool recycles per-message receive simulations (with their vHPU
 // tables and chunk mailboxes) across runs; see releaseRxSim.
 var rxSimPool = sync.Pool{New: func() any { return new(rxSim) }}

@@ -22,9 +22,9 @@ import (
 // executors fire identical event sequences and every run renders
 // byte-identically at any worker count.
 //
-// The one-NIC entry points are topologies of one endpoint: a receive batch
-// (Recvs only), a send batch (Sends with Dst < 0) and coupled transfers
-// (Sends targeting the endpoint's own Recvs).
+// A one-NIC run is a topology of one endpoint: a receive batch (Recvs
+// only), a send batch (Sends with Dst < 0) or coupled transfers (Sends
+// targeting the endpoint's own Recvs).
 //
 // Functional data crosses domains as streamed wire chunks: a send whose
 // Msg.Src is set and Msg.Packed nil gathers each packet's payload into a

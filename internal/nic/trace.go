@@ -58,7 +58,7 @@ type TraceEvent struct {
 }
 
 // Trace records the pipeline events of one simulated receive. Attach one
-// to Config.Trace before calling Receive; a nil trace disables recording.
+// to Config.Trace before running it; a nil trace disables recording.
 type Trace struct {
 	Events []TraceEvent
 	// Limit caps the recorded events (0 = unlimited).

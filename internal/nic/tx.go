@@ -23,10 +23,8 @@ import (
 //
 // The three message kinds are the paper's Fig. 4 tiles. For a single
 // uncontended message each kind reproduces, tick for tick, the server
-// algebra of the original closed-form sender models (SendPacked,
-// SendStreaming, SendProcessPut — now thin wrappers over a one-message
-// send batch): the device simulation generalizes them, it does not re-tune
-// them.
+// algebra of the original closed-form sender models: the device
+// simulation generalizes them, it does not re-tune them.
 
 // TxKind selects the sender-side pipeline of one outbound message.
 type TxKind int

@@ -4,7 +4,7 @@
 // paper's two sender-side extensions, streaming puts
 // (PtlSPutStart/PtlSPutStream, Sec. 3.1.1) and process puts
 // (PtlProcessPut, Sec. 3.1.2) for outbound sPIN, are modelled by the
-// NIC's send paths (nic.SendStreaming, nic.SendProcessPut).
+// NIC's send paths (nic.TxStreaming, nic.TxProcessPut).
 //
 // This package is the semantic layer: who matches what, which list entry
 // receives a message, what events fire. Timing lives in internal/nic.

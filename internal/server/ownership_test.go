@@ -12,8 +12,8 @@ import (
 	"spinddt/internal/transport"
 )
 
-// gateBackend is MemBackend whose Flush reports that it started and then
-// waits for the gate to open, so a test can hold a session's worker
+// gateBackend is MemBackend whose Exchange reports that it started and
+// then waits for the gate to open, so a test can hold a session's worker
 // mid-request while more requests queue behind it.
 type gateBackend struct {
 	core.MemBackend
@@ -26,10 +26,10 @@ func newGate() *gateBackend {
 	return &gateBackend{entered: make(chan struct{}, 4), gate: make(chan struct{})}
 }
 
-func (b *gateBackend) Flush(env core.BackendEnv, msgs []core.BackendMessage) ([]nic.Result, error) {
+func (b *gateBackend) Exchange(env core.BackendEnv, sends []core.BackendSend, msgs []core.BackendMessage) ([]nic.SendResult, []nic.Result, error) {
 	b.entered <- struct{}{}
 	<-b.gate
-	return b.MemBackend.Flush(env, msgs)
+	return b.MemBackend.Exchange(env, sends, msgs)
 }
 
 // open lets every held and later flush through.
@@ -296,8 +296,8 @@ type skewBackend struct {
 	gap bool
 }
 
-func (b skewBackend) Flush(env core.BackendEnv, msgs []core.BackendMessage) ([]nic.Result, error) {
-	res, err := b.MemBackend.Flush(env, msgs)
+func (b skewBackend) Exchange(env core.BackendEnv, sends []core.BackendSend, msgs []core.BackendMessage) ([]nic.SendResult, []nic.Result, error) {
+	sent, res, err := b.MemBackend.Exchange(env, sends, msgs)
 	for _, m := range msgs {
 		r := m.Type.Flatten(m.Count)[0]
 		if b.gap {
@@ -307,7 +307,7 @@ func (b skewBackend) Flush(env core.BackendEnv, msgs []core.BackendMessage) ([]n
 			m.Dst[r.Offset] = 0
 		}
 	}
-	return res, err
+	return sent, res, err
 }
 
 // TestServerVerifyCatchesBackendSkew serves a caller-packed post and a

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 
 	"spinddt/internal/core"
 	"spinddt/internal/ddt"
+	"spinddt/internal/nic"
 	"spinddt/internal/server"
 	"spinddt/internal/server/client"
 	"spinddt/internal/transport"
@@ -360,12 +362,43 @@ func soakType(rng *rand.Rand, count int) *ddt.Type {
 	}
 }
 
+// streamRecord is MemBackend that records a SHA-256 digest of every
+// stream a receive batch hands it, so the soak can check that each
+// caller-packed stream reached the backend as the client packed it.
+type streamRecord struct {
+	core.MemBackend
+	mu   sync.Mutex
+	seen map[[sha256.Size]byte]bool
+}
+
+func (b *streamRecord) Exchange(env core.BackendEnv, sends []core.BackendSend, msgs []core.BackendMessage) ([]nic.SendResult, []nic.Result, error) {
+	b.mu.Lock()
+	for _, m := range msgs {
+		b.seen[sha256.Sum256(m.Packed)] = true
+	}
+	b.mu.Unlock()
+	return b.MemBackend.Exchange(env, sends, msgs)
+}
+
+// received reports whether a stream with digest sum reached the backend.
+// It reads under the mutex: UDP delivery gives the race detector no
+// happens-before edge between the server's worker and the test.
+func (b *streamRecord) received(sum [sha256.Size]byte) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.seen[sum]
+}
+
 // TestServerSoak is the server-soak CI gate: soakSessions concurrent
 // client sessions hammer one daemon over seeded fault injection on both
 // directions at each loss-matrix rate — mixed commits, seeded posts,
 // caller-packed posts and sends of random datatypes — and every
 // delivered buffer must come back verified (the server byte-checks each
-// scatter against the reference unpack of the exact wire stream).
+// scatter against the reference unpack of the exact wire stream). The
+// server checks a stream only against itself, so every caller-packed
+// stream must also have reached the backend with the digest the client
+// packed: corruption consistent within a message passes the first check
+// and fails this one.
 func TestServerSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: long under -short")
@@ -380,18 +413,22 @@ func TestServerSoak(t *testing.T) {
 				ReorderRate: rate / 2,
 				CorruptRate: rate / 2,
 			}
+			rec := &streamRecord{seen: make(map[[sha256.Size]byte]bool)}
 			srv, addr := startServer(t, server.Config{
 				MaxSessions: soakSessions,
 				IdleTimeout: time.Minute,
+				Backend:     rec,
 			}, srvFault)
 
 			var wg sync.WaitGroup
 			errs := make(chan error, soakSessions)
+			sent := make([][][sha256.Size]byte, soakSessions)
 			for i := 0; i < soakSessions; i++ {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					if err := soakSession(addr, uint32(i+1), rate, int64(i)); err != nil {
+					var err error
+					if sent[i], err = soakSession(addr, uint32(i+1), rate, int64(i)); err != nil {
 						errs <- fmt.Errorf("session %d: %w", i+1, err)
 					}
 				}(i)
@@ -400,6 +437,13 @@ func TestServerSoak(t *testing.T) {
 			close(errs)
 			for err := range errs {
 				t.Error(err)
+			}
+			for i, sums := range sent {
+				for _, sum := range sums {
+					if !rec.received(sum) {
+						t.Errorf("session %d: a caller-packed stream reached the backend altered", i+1)
+					}
+				}
 			}
 			st := srv.Stats()
 			if st.Opened != soakSessions || st.Closed != soakSessions {
@@ -411,8 +455,9 @@ func TestServerSoak(t *testing.T) {
 
 // soakSession is one client's life in the soak: open, commit a couple
 // of random types, run rounds of mixed seeded/caller-packed posts and
-// sends, flush each round with every record verified, then close.
-func soakSession(addr string, session uint32, rate float64, seed int64) error {
+// sends, flush each round with every record verified, then close. It
+// returns the digests of the caller-packed streams it posted.
+func soakSession(addr string, session uint32, rate float64, seed int64) ([][sha256.Size]byte, error) {
 	rng := rand.New(rand.NewSource(0x50a1 ^ seed))
 	c, err := client.Dial(addr, session, client.Config{
 		Transport: fastWire(),
@@ -425,11 +470,11 @@ func soakSession(addr string, session uint32, rate float64, seed int64) error {
 		},
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer c.Close()
 	if err := c.Open(); err != nil {
-		return fmt.Errorf("open: %w", err)
+		return nil, fmt.Errorf("open: %w", err)
 	}
 
 	type committed struct {
@@ -438,6 +483,7 @@ func soakSession(addr string, session uint32, rate float64, seed int64) error {
 		count int
 	}
 	var types []committed
+	var sums [][sha256.Size]byte
 	for len(types) < 2 {
 		count := 1 + rng.Intn(4)
 		typ := soakType(rng, count)
@@ -446,7 +492,7 @@ func soakSession(addr string, session uint32, rate float64, seed int64) error {
 			continue // the rng drew an already-committed shape
 		}
 		if err != nil {
-			return fmt.Errorf("commit: %w", err)
+			return nil, fmt.Errorf("commit: %w", err)
 		}
 		types = append(types, committed{id: id, typ: typ, count: count})
 	}
@@ -459,7 +505,7 @@ func soakSession(addr string, session uint32, rate float64, seed int64) error {
 			switch rng.Intn(3) {
 			case 0: // server-synthesized payload
 				if _, err := c.Post(ct.id, ct.count, rng.Int63()); err != nil {
-					return fmt.Errorf("post: %w", err)
+					return nil, fmt.Errorf("post: %w", err)
 				}
 			case 1: // client-packed wire bytes, server-verified
 				_, hi := ct.typ.Footprint(ct.count)
@@ -467,34 +513,35 @@ func soakSession(addr string, session uint32, rate float64, seed int64) error {
 				rng.Read(src)
 				packed := make([]byte, size)
 				if _, err := ddt.PackInto(ct.typ, ct.count, src, packed); err != nil {
-					return fmt.Errorf("pack: %w", err)
+					return nil, fmt.Errorf("pack: %w", err)
 				}
 				if _, err := c.PostPacked(ct.id, ct.count, packed); err != nil {
-					return fmt.Errorf("post packed: %w", err)
+					return nil, fmt.Errorf("post packed: %w", err)
 				}
+				sums = append(sums, sha256.Sum256(packed))
 			case 2: // outbound gather
 				if _, err := c.Send(ct.id, ct.count, rng.Int63()); err != nil {
-					return fmt.Errorf("send: %w", err)
+					return nil, fmt.Errorf("send: %w", err)
 				}
 			}
 			want = append(want, uint64(size))
 		}
 		recs, err := c.Flush()
 		if err != nil {
-			return fmt.Errorf("flush round %d: %w", round, err)
+			return nil, fmt.Errorf("flush round %d: %w", round, err)
 		}
 		if len(recs) != len(want) {
-			return fmt.Errorf("flush round %d: %d records, want %d", round, len(recs), len(want))
+			return nil, fmt.Errorf("flush round %d: %d records, want %d", round, len(recs), len(want))
 		}
 		for i, rec := range recs {
 			if rec.Status != server.StatusOK || !rec.Verified || rec.Bytes != want[i] {
-				return fmt.Errorf("round %d record %d: status=%v verified=%v bytes=%d want %d",
+				return nil, fmt.Errorf("round %d record %d: status=%v verified=%v bytes=%d want %d",
 					round, i, rec.Status, rec.Verified, rec.Bytes, want[i])
 			}
 		}
 	}
 	if err := c.CloseSession(); err != nil {
-		return fmt.Errorf("close session: %w", err)
+		return nil, fmt.Errorf("close session: %w", err)
 	}
-	return nil
+	return sums, nil
 }

@@ -94,17 +94,21 @@ type (
 	SendFuture = core.SendFuture
 )
 
-// Backend executes the data movement of posted messages. The exchange
-// format is the committed datatype's plan (its region program): SimBackend
-// (the default) replays it through the simulated sPIN NIC's offload
-// state, MemBackend executes it directly on host memory — the
+// Backend executes the data movement of posted messages through one
+// method, Exchange, which runs a batch of sends, a batch of receives, or
+// sends paired with the receives they pace. The exchange format is the
+// committed datatype's plan (its region program): SimBackend (the
+// default) replays it through the simulated sPIN NIC's offload state,
+// MemBackend executes it directly on host memory — the
 // differential-testing oracle. Custom backends implement the same
-// interface against BackendEnv and BackendMessage. Over a real wire, the
-// spinsimd daemon (cmd/spinsimd) commits each datatype once and scatters
-// the packed streams that arrive against the committed handle.
+// interface against BackendEnv, BackendSend and BackendMessage. Over a
+// real wire, the spinsimd daemon (cmd/spinsimd) commits each datatype once
+// and scatters the packed streams that arrive against the committed
+// handle.
 type (
 	Backend        = core.Backend
 	BackendEnv     = core.BackendEnv
+	BackendSend    = core.BackendSend
 	BackendMessage = core.BackendMessage
 	SimBackend     = core.SimBackend
 	MemBackend     = core.MemBackend

@@ -31,7 +31,8 @@
 //     specialized handler scatters with. Either way, real exchanges (alltoall, halo)
 //     contend for the device — HPUs, DMA/host-read paths, wire, NIC
 //     memory — the way real traffic does. The Backend interface decides
-//     what executes a flush or a coupled transfer: SimBackend replays
+//     what executes a batch of sends or receives, or of sends paired with
+//     the receives they pace (a coupled transfer): SimBackend replays
 //     committed plans through the modeled 200 Gbit/s sPIN NIC, MemBackend
 //     executes them directly on host memory (the differential-testing
 //     oracle for both directions); custom backends plug in the same way.
