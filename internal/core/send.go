@@ -92,25 +92,13 @@ func (b *txBuild) prep() HostPrep {
 	return HostPrep{}
 }
 
-// sendStrategy maps the handle's receive strategy to its sender pipeline:
-// HostUnpack commits to CPU pack+send, PortalsIovec to streaming puts (the
-// region list drives the announcements), and every offloaded strategy to
-// the NIC-side gather — the sPIN offload is symmetric, so a handle
-// committed for an offloaded receive sends through the same committed
-// layout.
-func (h *TypeHandle) sendStrategy() SendStrategy {
-	switch h.strategy {
-	case HostUnpack:
-		return PackSend
-	case PortalsIovec:
-		return StreamingPuts
-	default:
-		return OutboundSpin
-	}
-}
-
 // buildTx returns the once-built sender state for count elements, building
-// it on first use.
+// it on first use. The handle's receive strategy selects the sender
+// pipeline: HostUnpack commits to CPU pack+send, PortalsIovec to streaming
+// puts (the region list drives the announcements), and every offloaded
+// strategy to the NIC-side gather — the sPIN offload is symmetric, so a
+// handle committed for an offloaded receive sends through the same
+// committed layout.
 func (h *TypeHandle) buildTx(count int) (*txBuild, error) {
 	cb, err := h.builtFor(count)
 	if err != nil {
@@ -118,8 +106,15 @@ func (h *TypeHandle) buildTx(count int) (*txBuild, error) {
 	}
 	b := &cb.tx
 	b.once.Do(func() {
+		strategy := OutboundSpin
+		switch h.strategy {
+		case HostUnpack:
+			strategy = PackSend
+		case PortalsIovec:
+			strategy = StreamingPuts
+		}
 		cfg := &h.sess.cfg
-		b.sendRecipe, b.err = h.sess.caches.sendRecipe(h.sendStrategy(), BuildParams{
+		b.sendRecipe, b.err = h.sess.caches.sendRecipe(strategy, BuildParams{
 			Type: h.typ, Count: count, NIC: cfg.NIC, Cost: cfg.Cost, Host: cfg.Host,
 		})
 	})

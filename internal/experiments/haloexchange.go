@@ -136,6 +136,14 @@ func (h *haloRing) recycle() {
 	}
 }
 
+// flow is one message of an exchange figure: rank src gathers it from
+// srcBuf and sends it to receive slot slot of rank dst, which scatters it
+// into dstBuf.
+type flow struct {
+	src, dst, slot int
+	srcBuf, dstBuf []byte
+}
+
 // flows lists the ring's messages in each rank's send order: rank r
 // sends its leftward message into its left neighbor's slot 0, then its
 // rightward one into its right neighbor's slot 1.
@@ -149,14 +157,6 @@ func (h *haloRing) flows() []flow {
 			flow{src: r, dst: right, slot: 1, srcBuf: h.srcs[r*haloDirs+1], dstBuf: h.dsts[right*haloDirs+1]})
 	}
 	return fl
-}
-
-// flow is one message of an exchange figure: rank src gathers it from
-// srcBuf and sends it to receive slot slot of rank dst, which scatters it
-// into dstBuf.
-type flow struct {
-	src, dst, slot int
-	srcBuf, dstBuf []byte
 }
 
 // exchangeStats aggregates one exchange run.
