@@ -282,7 +282,9 @@ func BenchmarkDDTForEachBlock(b *testing.B) {
 }
 
 // planBenchTypes returns one representative datatype per lowered plan
-// kind, all at a 256 KiB packed message.
+// kind at a 256 KiB packed message, plus the tiny-region shapes of the
+// application deck at 64 KiB: 4 B floats 2-3 floats apart (SPEC-OC) and
+// one 8 B double every 32 B (SW4LITE-X).
 func planBenchTypes() []struct {
 	name string
 	typ  *ddt.Type
@@ -295,6 +297,10 @@ func planBenchTypes() []struct {
 		lens[i] = 14 + i%5 // 56..72 B regions, non-uniform
 		pos += lens[i] + 1 + i%3
 	}
+	tiny := make([]int, 16384)
+	for i := 1; i < len(tiny); i++ {
+		tiny[i] = tiny[i-1] + 2 + i%2
+	}
 	return []struct {
 		name string
 		typ  *ddt.Type
@@ -302,6 +308,8 @@ func planBenchTypes() []struct {
 		{"contig", ddt.MustContiguous(65536, ddt.Int)},
 		{"stride", ddt.MustVector(4096, 16, 32, ddt.Int)},
 		{"offsets", ddt.MustIndexed(lens, displs, ddt.Int)},
+		{"offsets-tiny", ddt.MustIndexedBlock(1, tiny, ddt.Float)},
+		{"stride-tiny", ddt.MustVector(8192, 1, 4, ddt.Double)},
 	}
 }
 

@@ -77,6 +77,8 @@ type Backend interface {
 	// Non-empty batches of unequal length are an error.
 	Exchange(env BackendEnv, sends []BackendSend, recvs []BackendMessage) ([]nic.SendResult, []nic.Result, error)
 	// Iovec executes the Portals-4 scatter-list baseline for one message.
+	// regions is the layout's cached list, shared by every run of the
+	// layout: an implementation only reads it.
 	Iovec(env BackendEnv, regions []nic.IovecRegion, packed, dst []byte) (nic.Result, error)
 }
 

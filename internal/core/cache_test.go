@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -200,6 +201,83 @@ func TestAppDeckCachesHold(t *testing.T) {
 	}
 	if second.Hits <= first.Hits {
 		t.Fatalf("second pass looked nothing up: artifacts %+v -> %+v", first, second)
+	}
+}
+
+// listBackend is a SimBackend that records the region list of every
+// Iovec call.
+type listBackend struct {
+	SimBackend
+	lists [][]nic.IovecRegion
+}
+
+func (b *listBackend) Iovec(env BackendEnv, regions []nic.IovecRegion, packed, dst []byte) (nic.Result, error) {
+	b.lists = append(b.lists, regions)
+	return b.SimBackend.Iovec(env, regions, packed, dst)
+}
+
+// TestBaselinesBuildOnce pins the host baselines' work to one build per
+// layout: a repeated iovec run hands the backend the list the first run
+// flattened, a specialized build of the same list layout resolves through
+// that list, and a repeated host run takes its unpack price from the
+// cache. Each repeated run makes exactly one artifact lookup, and it hits.
+func TestBaselinesBuildOnce(t *testing.T) {
+	be := &listBackend{}
+	cfg := NewSessionConfig()
+	cfg.Backend = be
+	sess := NewSession(cfg)
+	defer sess.Close()
+	typ := ddt.MustIndexed([]int{1, 3, 2}, []int{0, 4, 9}, ddt.Int).Commit()
+	const count = 3
+	run := func(s Strategy) CacheStats {
+		t.Helper()
+		res, err := sess.Run(NewRequest(s, typ, count))
+		if err != nil || !res.Verified {
+			t.Fatalf("%v: verified %v, %v", s, res.Verified, err)
+		}
+		return sess.caches.artifacts.snapshot()
+	}
+	oneHit := func(what string, before, after CacheStats) {
+		t.Helper()
+		if after.Misses != before.Misses || after.Hits != before.Hits+1 {
+			t.Fatalf("%s: artifacts %+v -> %+v, want one hit and no miss", what, before, after)
+		}
+	}
+
+	first := run(PortalsIovec)
+	oneHit("repeated iovec run", first, run(PortalsIovec))
+	if len(be.lists) != 2 || &be.lists[0][0] != &be.lists[1][0] {
+		t.Fatalf("the iovec runs handed the backend %d lists, not one list twice", len(be.lists))
+	}
+
+	before := sess.caches.artifacts.snapshot()
+	b := sess.caches.specialized(cfg.Cost, typ, count, false)
+	after := sess.caches.artifacts.snapshot()
+	if b.kind() != "list" {
+		t.Fatalf("specialized resolver %q, want a list", b.kind())
+	}
+	// The build itself is a miss; its list lookup must be the one hit.
+	if after.Misses != before.Misses+1 || after.Hits != before.Hits+1 {
+		t.Fatalf("specialized build: artifacts %+v -> %+v, want its build to miss and its list to hit", before, after)
+	}
+
+	priced := run(HostUnpack)
+	oneHit("repeated host run", priced, run(HostUnpack))
+}
+
+// TestIovecRejectsReorderFirst checks that the iovec baseline rejects an
+// out-of-order delivery before it builds or looks up anything.
+func TestIovecRejectsReorderFirst(t *testing.T) {
+	sess := NewSession(NewSessionConfig())
+	defer sess.Close()
+	req := NewRequest(PortalsIovec, ddt.MustVector(64, 1, 2, ddt.Int), 1)
+	req.Order = []int{0}
+	before := sess.caches.artifacts.snapshot()
+	if _, err := sess.Run(req); err == nil || !strings.Contains(err.Error(), "in-order delivery") {
+		t.Fatalf("reordered iovec run: %v, want the in-order rejection", err)
+	}
+	if after := sess.caches.artifacts.snapshot(); after != before {
+		t.Fatalf("the rejected run touched the artifacts: %+v -> %+v", before, after)
 	}
 }
 

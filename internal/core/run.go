@@ -156,7 +156,10 @@ func (s *Session) Run(req Request) (Result, error) {
 // buffer and a CPU unpack (HostUnpack), the iovec baseline, or an offload
 // instance built from p. order permutes packet delivery. A non-nil send
 // paces the receive through the fabric and fills packed as it runs; its
-// result comes back too. The Result is complete but for Verified.
+// result comes back too. The Result is complete but for Verified. The
+// baselines' host work comes from the cache set like the offload
+// templates: the iovec scatter list is flattened, and the CPU unpack
+// priced, once per layout.
 func (s *Session) receive(strategy Strategy, p BuildParams, packed, dst []byte, order []int, send *BackendSend) (Result, nic.SendResult, error) {
 	typ, count := p.Type, p.Count
 	msgSize := int64(len(packed))
@@ -171,10 +174,10 @@ func (s *Session) receive(strategy Strategy, p BuildParams, packed, dst []byte, 
 		if send != nil {
 			return Result{}, nic.SendResult{}, fmt.Errorf("core: the iovec baseline does not support coupled transfers")
 		}
-		regions := typ.Flatten(count)
 		if order != nil {
 			return Result{}, nic.SendResult{}, fmt.Errorf("core: the iovec baseline assumes in-order delivery")
 		}
+		regions := s.caches.regions(typ, count)
 		nicRes, err := s.backend.Iovec(env, regions, packed, dst)
 		if err != nil {
 			return Result{}, nic.SendResult{}, err
@@ -225,7 +228,7 @@ func (s *Session) receive(strategy Strategy, p BuildParams, packed, dst []byte, 
 		off.Release()
 		return res, sr, nil
 	}
-	cost := hostcpu.UnpackCost(p.Host, typ, count)
+	cost := s.caches.unpackCost(p.Host, typ, count)
 	if err := ddt.Unpack(typ, count, msg.Dst, dst); err != nil {
 		return Result{}, nic.SendResult{}, err
 	}

@@ -82,7 +82,7 @@ func (c *offloadCaches) sendRecipe(s SendStrategy, p BuildParams) (sendRecipe, e
 		r.packTime = hostcpu.PackCost(p.Host, p.Type, p.Count).Time
 	case StreamingPuts:
 		r.kind = nic.TxStreaming
-		regions := p.Type.Flatten(p.Count)
+		regions := c.regions(p.Type, p.Count)
 		r.ready, r.cpu, _, err = nic.StreamingSchedule(p.NIC, regions, p.Host.InterpPerBlock)
 		r.regions = int64(len(regions))
 	case OutboundSpin:

@@ -62,7 +62,8 @@ func (sc *SharedCaches) Intern(enc []byte, t *ddt.Type) *ddt.Type {
 // SharedCacheStats counts the lookups of a SharedCaches.
 type SharedCacheStats struct {
 	// Types is the intern table; Artifacts the build caches (dataloops,
-	// checkpoint sets, specialized builds and offload templates).
+	// checkpoint sets, specialized builds, offload templates, region
+	// lists and host prices).
 	Types, Artifacts CacheStats
 }
 

@@ -78,8 +78,10 @@ func (b *specBuild) prep(p BuildParams) HostPrep {
 // contiguous or a uniform-block strided layout, the offset list otherwise.
 // Arithmetic resolvers hold the four spin_vec_t parameters (32 B); the
 // list holds one ⟨offset, size⟩ pair per region, following the paper's
-// accounting (stream positions are prefix sums of the sizes).
-func buildSpecialized(cost CostModel, typ *ddt.Type, count int, skipNormalize bool) *specBuild {
+// accounting (stream positions are prefix sums of the sizes). The list
+// is the layout's cached region list, the one the iovec baseline
+// scatters through.
+func (c *offloadCaches) buildSpecialized(cost CostModel, typ *ddt.Type, count int, skipNormalize bool) *specBuild {
 	norm := typ
 	if !skipNormalize {
 		norm = ddt.Normalize(typ)
@@ -97,7 +99,7 @@ func buildSpecialized(cost CostModel, typ *ddt.Type, count int, skipNormalize bo
 			norm.Extent(),
 		)
 	default:
-		b.g = plan.NewListGather(typ.Flatten(count))
+		b.g = plan.NewListGather(c.regions(typ, count))
 		b.nicBytes = 16 * b.blocks
 	}
 	st := &specState{cost: cost, g: b.g}
@@ -113,6 +115,6 @@ func (c *offloadCaches) specialized(cost CostModel, typ *ddt.Type, count int, sk
 	if v, ok := c.artifacts.get(k); ok {
 		return v.(*specBuild)
 	}
-	b := buildSpecialized(cost, typ, count, skipNormalize)
+	b := c.buildSpecialized(cost, typ, count, skipNormalize)
 	return c.artifacts.put(k, b, 1, artifactBudget).(*specBuild)
 }

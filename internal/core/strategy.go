@@ -126,12 +126,15 @@ type BuildParams struct {
 //
 //   - IMMUTABLE, cached per key: compiled dataloops, checkpoint sets with
 //     their interval choice, specialized builds (one resolver serving the
-//     receive and the send handler), and the offloadTemplate assembling
-//     them per full (strategy, BuildParams) key. Templates and their
-//     artifacts are read-only after construction — dataloops are never
-//     written, checkpoint masters stay pristine for reverts, resolver
-//     state is fixed at build — so concurrent sweep workers and cluster
-//     ranks share them safely.
+//     receive and the send handler), the offloadTemplate assembling them
+//     per full (strategy, BuildParams) key, and the host baselines' work:
+//     each layout's flattened region list (the iovec scatter list, which
+//     the specialized list resolver and the streaming-puts schedule
+//     share) and its host unpack price. Templates and their artifacts are
+//     read-only after construction — dataloops are never written,
+//     checkpoint masters stay pristine for reverts, resolver state and
+//     region lists are fixed at build — so concurrent sweep workers and
+//     cluster ranks share them safely.
 //   - MUTABLE, pooled per template: the *Offload instances BuildOffload
 //     returns. Each owns its execution context, its general-strategy
 //     working state (progressing checkpoints, per-vHPU segments, the
@@ -160,14 +163,29 @@ type BuildParams struct {
 // their encoding (SharedCaches.Intern), so a re-commit of an encoding the
 // daemon has seen reaches the caches as the same pointer and hits.
 const (
-	// artifactBudget bounds the artifacts cache in entries: a full
-	// application deck or the served churn pool fills under half.
+	// artifactBudget bounds the artifacts cache in entries. The Fig. 16
+	// application deck under its four strategies holds 315 (seven per
+	// layout), so a deck stays resident.
 	artifactBudget = 512
 	// typeBudget bounds the intern table in types.
 	typeBudget = 512
 )
 
 type loopCacheKey struct {
+	typ   *ddt.Type
+	count int
+}
+
+// listCacheKey identifies the flattened region list of a layout.
+type listCacheKey struct {
+	typ   *ddt.Type
+	count int
+}
+
+// priceCacheKey identifies the host unpack price of a layout under one
+// host profile.
+type priceCacheKey struct {
+	host  hostcpu.Config
 	typ   *ddt.Type
 	count int
 }
@@ -209,8 +227,9 @@ type tmplCacheKey struct {
 // package-level one-shot wrappers (Run, RunTransfer, RunCluster via
 // BuildOffload) share defaultCaches. The zero value is an empty set.
 type offloadCaches struct {
-	// artifacts holds dataloops, checkpoint sets, specialized builds and
-	// templates under their distinct key types, one entry each.
+	// artifacts holds dataloops, checkpoint sets, specialized builds,
+	// templates, region lists and host prices under their distinct key
+	// types, one entry each.
 	artifacts clockCache[any, any]
 	// types is the intern table: committed datatypes by wire encoding.
 	types clockCache[string, *ddt.Type]
@@ -244,6 +263,26 @@ func (c *offloadCaches) compileLoop(typ *ddt.Type, count int) (*dataloop.Dataloo
 		return nil, err
 	}
 	return c.artifacts.put(k, loop, 1, artifactBudget).(*dataloop.Dataloop), nil
+}
+
+// regions returns the (shared, read-only) region list of count elements
+// of a committed type, flattened once.
+func (c *offloadCaches) regions(typ *ddt.Type, count int) []ddt.Block {
+	k := listCacheKey{typ: typ, count: count}
+	if v, ok := c.artifacts.get(k); ok {
+		return v.([]ddt.Block)
+	}
+	return c.artifacts.put(k, typ.Flatten(count), 1, artifactBudget).([]ddt.Block)
+}
+
+// unpackCost returns the host baseline's price of unpacking count
+// elements of a committed type, walked once per host profile.
+func (c *offloadCaches) unpackCost(host hostcpu.Config, typ *ddt.Type, count int) hostcpu.Cost {
+	k := priceCacheKey{host: host, typ: typ, count: count}
+	if v, ok := c.artifacts.get(k); ok {
+		return v.(hostcpu.Cost)
+	}
+	return c.artifacts.put(k, hostcpu.UnpackCost(host, typ, count), 1, artifactBudget).(hostcpu.Cost)
 }
 
 // BuildOffload returns an execution-ready offload instance for the

@@ -38,7 +38,7 @@ func BuildTxOffload(p BuildParams) (*TxOffload, error) {
 // select for count elements of the committed datatype, plus its kind label
 // — the plan-report hook, bypassing the caches.
 func GatherPlan(typ *ddt.Type, count int) (*plan.Gather, string) {
-	b := buildSpecialized(DefaultCostModel(), typ, count, false)
+	b := new(offloadCaches).buildSpecialized(DefaultCostModel(), typ, count, false)
 	return b.g, b.kind()
 }
 

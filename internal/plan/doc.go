@@ -52,8 +52,10 @@
 // whether a receive buffer is exactly the reference unpack of a stream —
 // every region equal to its slice of the stream, every other byte zero —
 // and can re-zero each region in the same walk, so a pooled receive buffer
-// that verifies goes back clean. It runs per kernel kind with no callback
-// per region and allocates nothing.
+// that verifies goes back clean. It walks the region program with no
+// callback per region and allocates nothing: a per-gap walk, or, to
+// rezero a layout of short regions, a one-pass walk that clears each
+// region and then scans the whole buffer for zeros once.
 //
 // # Resolvers
 //

@@ -77,9 +77,11 @@ type Plan struct {
 	// Verify's preconditions, decided at Lower: ascending reports that
 	// one element's regions ascend without overlap from offset 0 on, end
 	// is where its last region ends, and span is the distance from its
-	// first region's start to end.
+	// first region's start to end. onePass selects Verify's one-pass
+	// walk for a rezeroing check: the layout's mean region is short.
 	ascending bool
 	end, span int64
+	onePass   bool
 }
 
 // Kind returns the selected kernel family.
@@ -115,6 +117,7 @@ func Lower(pr Program) *Plan {
 		}
 	}
 	p.span = p.end - first
+	p.onePass = p.size <= onePassMaxMean*p.nregions
 	if p.nregions == 0 || len(pr.Tiles) != 1 {
 		return p
 	}
@@ -124,6 +127,7 @@ func Lower(pr Program) *Plan {
 		// message is a single run starting at the region's offset.
 		p.kind = Contig
 		p.off = elem[0].Offset
+		p.onePass = false // one run: there are no gaps to skip
 		return p
 	}
 	if bs, st, ok := uniformStride(elem); ok {
